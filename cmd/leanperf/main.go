@@ -1,5 +1,6 @@
 // Command leanperf records the repository's performance trajectory: a
-// fixed suite of probes — engine model runs, arena service throughput
+// fixed suite of probes — engine model runs (fresh, and on a pooled
+// session at n=64), arena service throughput
 // (plain and with the flight recorder armed), a campaign sweep, and the
 // cell-batched campaign path — measured for throughput, ns/op,
 // allocs/op, and wall-clock latency
@@ -322,8 +323,10 @@ var probes = []struct {
 	name string
 	run  func(sc harness.Scale) (Bench, error)
 }{
-	{"engine/sched", probeEngine("sched", 8, 2000, 20000, 100000)},
-	{"engine/msgnet", probeEngine("msgnet", 4, 300, 3000, 10000)},
+	{"engine/sched", probeEngine("sched", 8, false, 2000, 20000, 100000)},
+	{"engine/msgnet", probeEngine("msgnet", 4, false, 300, 3000, 10000)},
+	{"engine/sched-pooled", probeEngine("sched", 64, true, 300, 3000, 15000)},
+	{"engine/hybrid-pooled", probeEngine("hybrid", 64, true, 2000, 20000, 100000)},
 	{"arena/throughput", probeArena(nil, 4000, 40000, 200000)},
 	{"arena/traced", probeArena(&arena.TraceConfig{PerShard: 2}, 4000, 40000, 200000)},
 	{"campaign/sweep", probeCampaign},
@@ -380,26 +383,34 @@ func round(v float64, digits int) float64 {
 
 // probeEngine runs one execution model back to back through the
 // engine's registry: op = one consensus instance, latency = its
-// wall-clock run time.
-func probeEngine(model string, n, bench, def, full int) func(harness.Scale) (Bench, error) {
+// wall-clock run time. A pooled probe reuses one warmed engine.Session
+// across instances, as every arena worker and campaign cell does; the
+// others pay a fresh session's set-up per instance.
+func probeEngine(model string, n int, pooled bool, bench, def, full int) func(harness.Scale) (Bench, error) {
 	return func(sc harness.Scale) (Bench, error) {
 		m, err := engine.ByName(model)
 		if err != nil {
 			return Bench{}, err
 		}
 		ops := opsFor(sc, bench, def, full)
-		inputs := harness.HalfInputs(n)
-		noise := dist.Exponential{MeanVal: 1}
+		spec := engine.Spec{
+			Key:    "perf",
+			N:      n,
+			Inputs: harness.HalfInputs(n),
+			Noise:  dist.Exponential{MeanVal: 1},
+		}
+		var sess *engine.Session
+		if pooled {
+			sess = engine.NewSession()
+			if _, err := m.Run(spec, sess); err != nil {
+				return Bench{}, err
+			}
+		}
 		return measure(ops, func(h *metrics.Histogram) error {
 			for i := 0; i < ops; i++ {
+				spec.Seed = uint64(i + 1)
 				t0 := time.Now()
-				if _, err := m.Run(engine.Spec{
-					Key:    "perf",
-					N:      n,
-					Inputs: inputs,
-					Noise:  noise,
-					Seed:   uint64(i + 1),
-				}, nil); err != nil {
+				if _, err := m.Run(spec, sess); err != nil {
 					return err
 				}
 				h.Observe(time.Since(t0).Seconds())

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"testing"
 
 	"leanconsensus/internal/dist"
@@ -56,31 +57,46 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 }
 
 // TestRunBatchZeroAllocs is the cell path's headline property: once the
-// session is warm, an entire batch of sched repetitions — reseed, run,
-// deliver — allocates nothing at all.
+// session is warm, an entire batch of repetitions — reseed, run, deliver
+// — allocates nothing at all, for sched and for the pooled hybrid
+// scheduler at a small and a large instance size.
 func TestRunBatchZeroAllocs(t *testing.T) {
-	m, err := engine.ByName("sched")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := engine.NewSession()
-	inputs := []int{0, 1, 0, 1, 0, 1, 0, 1}
-	var noise dist.Distribution = dist.Exponential{MeanVal: 1}
-	spec := engine.Spec{Key: "batch", N: len(inputs), Inputs: inputs, Noise: noise}
-	decided := 0
-	fn := func(rep int, r engine.Result, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		decided++
-	}
-	run := func() { engine.RunBatch(m, spec, sess, 50, batchSeed, fn) }
-	run() // warm the session
-	if avg := testing.AllocsPerRun(5, run); avg != 0 {
-		t.Fatalf("batch of 50 sched repetitions allocates %.1f times, want 0", avg)
-	}
-	if decided == 0 {
-		t.Fatal("no repetitions ran")
+	for _, tc := range []struct {
+		model string
+		n     int
+	}{
+		{"sched", 8},
+		{"hybrid", 8},
+		{"hybrid", 64},
+	} {
+		t.Run(fmt.Sprintf("%s/n%d", tc.model, tc.n), func(t *testing.T) {
+			m, err := engine.ByName(tc.model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := engine.NewSession()
+			inputs := make([]int, tc.n)
+			for i := range inputs {
+				inputs[i] = i % 2
+			}
+			var noise dist.Distribution = dist.Exponential{MeanVal: 1}
+			spec := engine.Spec{Key: "batch", N: len(inputs), Inputs: inputs, Noise: noise}
+			decided := 0
+			fn := func(rep int, r engine.Result, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				decided++
+			}
+			run := func() { engine.RunBatch(m, spec, sess, 50, batchSeed, fn) }
+			run() // warm the session
+			if avg := testing.AllocsPerRun(5, run); avg != 0 {
+				t.Fatalf("batch of 50 %s repetitions allocates %.1f times, want 0", tc.model, avg)
+			}
+			if decided == 0 {
+				t.Fatal("no repetitions ran")
+			}
+		})
 	}
 }
 

@@ -12,7 +12,8 @@
 // tool's flags and -list output, and the public leanconsensus API.
 //
 // The package also owns the Session: per-worker pooled state (shared
-// memory, machines, RNG streams, the discrete-event engine itself) that
+// memory, machines, RNG streams, the discrete-event engine itself and the
+// hybrid scheduler) that
 // lets a worker run thousands of instances with near-zero steady-state
 // allocations. Sessions never affect outcomes — a Model run with a pooled
 // Session is bit-identical to one run with none — they only amortize

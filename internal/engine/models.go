@@ -131,7 +131,7 @@ func (m *Hybrid) Run(spec Spec, s *Session) (Result, error) {
 		hadv = s.hybridAdversary(spec.Seed)
 	}
 	layout := register.Layout{}
-	res, err := hybrid.Run(hybrid.Config{
+	res, err := s.hybrid.Run(hybrid.Config{
 		N:         spec.N,
 		Machines:  s.LeanMachines(layout, spec.Inputs),
 		Mem:       s.Mem(layout, register.DefaultLeanRounds),

@@ -14,12 +14,12 @@ import (
 )
 
 // Session is one worker's pooled execution state: the shared-memory bank,
-// the lean machines, the RNG stream, and the discrete-event engine that
-// every run would otherwise reallocate. A Session is NOT safe for
-// concurrent use — each worker owns exactly one — and it never leaks state
-// between runs: memory is zeroed, machines are reinitialized, and RNG
-// streams are re-derived from each run's seed, so results are
-// bit-identical with and without pooling.
+// the lean machines, the RNG stream, the discrete-event engine and the
+// hybrid scheduler that every run would otherwise reallocate. A Session
+// is NOT safe for concurrent use — each worker owns exactly one — and it
+// never leaks state between runs: memory is zeroed, machines are
+// reinitialized, and RNG streams are re-derived from each run's seed, so
+// results are bit-identical with and without pooling.
 type Session struct {
 	mem      *register.SimMem
 	leans    []core.Lean
@@ -29,7 +29,8 @@ type Session struct {
 	src *xrand.Source
 	rng *rand.Rand
 
-	hadv *hybrid.Random
+	hadv   *hybrid.Random
+	hybrid hybrid.Runner
 
 	sched    *sched.Engine
 	schedRes sched.Result

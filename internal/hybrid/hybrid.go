@@ -175,8 +175,36 @@ func (Laggard) Choose(v *View) int {
 var errBadConfig = errors.New("hybrid: invalid config")
 
 // Run executes the machines under the hybrid scheduling constraints until
-// every process has decided.
-func Run(cfg Config) (*Result, error) {
+// every process has decided, returning a fresh Result the caller owns.
+func Run(cfg Config) (*Result, error) { return new(Runner).Run(cfg) }
+
+// Runner executes hybrid-scheduled runs one after another, reusing the
+// scheduler state, the result and the adversary's view buffers, so a
+// warm runner allocates nothing per run. The zero Runner is ready to use;
+// it is not safe for concurrent use.
+type Runner struct {
+	st       State
+	res      Result
+	pri      []int // all-equal priorities for a nil Config.Priorities
+	used     []int // zero initial quanta for a nil Config.InitialUsed
+	eligible []int
+
+	// The view and its buffers are per-step snapshots that protect the
+	// scheduler state from adversary mutation: the eligibility check
+	// reads the scheduler-owned eligible slice, never the copy handed to
+	// the adversary, and no adversary may retain them past Choose. The
+	// view itself lives here because it escapes through Adversary.Choose.
+	view         View
+	viewEligible []int
+	viewOps      []int64
+	viewDecided  []bool
+	viewPri      []int
+}
+
+// Run executes the machines under the hybrid scheduling constraints until
+// every process has decided. The returned Result belongs to the runner
+// and is valid until its next Run.
+func (r *Runner) Run(cfg Config) (*Result, error) {
 	n := cfg.N
 	if n <= 0 || len(cfg.Machines) != n {
 		return nil, fmt.Errorf("%w: need N machines", errBadConfig)
@@ -189,14 +217,18 @@ func Run(cfg Config) (*Result, error) {
 	}
 	pri := cfg.Priorities
 	if pri == nil {
-		pri = make([]int, n)
+		r.pri = resize(r.pri, n)
+		clear(r.pri)
+		pri = r.pri
 	}
 	if len(pri) != n {
 		return nil, fmt.Errorf("%w: need N priorities", errBadConfig)
 	}
 	used := cfg.InitialUsed
 	if used == nil {
-		used = make([]int, n)
+		r.used = resize(r.used, n)
+		clear(r.used)
+		used = r.used
 	}
 	if len(used) != n {
 		return nil, fmt.Errorf("%w: need N initial-quantum values", errBadConfig)
@@ -224,11 +256,10 @@ func Run(cfg Config) (*Result, error) {
 		maxSteps = int64(n) * 1 << 16
 	}
 
-	st := newState(cfg.Machines, cfg.Mem, pri, cfg.Quantum, used, false)
-	res := &Result{
-		Decisions: make([]int, n),
-		OpCounts:  make([]int64, n),
-	}
+	st := &r.st
+	st.reset(cfg.Machines, cfg.Mem, pri, cfg.Quantum, used, false)
+	res := &r.res
+	*res = Result{Decisions: resize(res.Decisions, n), OpCounts: resize(res.OpCounts, n)}
 	if cfg.Trace != nil {
 		for i := 0; i < n; i++ {
 			cfg.Trace.Append(trace.Event{
@@ -237,39 +268,30 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// The view buffers are reused across steps: View slices are per-step
-	// snapshots that protect engine state from adversary mutation (the
-	// eligibility check below reads the engine-owned eligible slice, never
-	// the copy handed to the adversary), and no adversary may retain them
-	// past Choose, so one allocation per run suffices.
-	var (
-		eligibleBuf  = make([]int, 0, n)
-		viewEligible = make([]int, 0, n)
-		viewOps      = make([]int64, n)
-		viewDecided  = make([]bool, n)
-		viewPri      = make([]int, n)
-		view         View
-	)
+	r.viewOps = resize(r.viewOps, n)
+	r.viewDecided = resize(r.viewDecided, n)
+	r.viewPri = resize(r.viewPri, n)
 	for st.live > 0 {
 		if res.Steps >= maxSteps {
 			return nil, fmt.Errorf("hybrid: no termination within %d steps", maxSteps)
 		}
-		eligible := st.EligibleInto(eligibleBuf)
+		r.eligible = st.EligibleInto(r.eligible)
+		eligible := r.eligible
 		choice := eligible[0]
 		if len(eligible) > 1 {
-			copy(viewOps, st.ops)
-			copy(viewDecided, st.decided)
-			copy(viewPri, pri)
-			viewEligible = append(viewEligible[:0], eligible...)
-			view = View{
+			copy(r.viewOps, st.ops)
+			copy(r.viewDecided, st.decided)
+			copy(r.viewPri, pri)
+			r.viewEligible = append(r.viewEligible[:0], eligible...)
+			r.view = View{
 				Current:     st.current,
 				QuantumLeft: st.quantumLeft(),
-				OpCounts:    viewOps,
-				Decided:     viewDecided,
-				Priorities:  viewPri,
-				Eligible:    viewEligible,
+				OpCounts:    r.viewOps,
+				Decided:     r.viewDecided,
+				Priorities:  r.viewPri,
+				Eligible:    r.viewEligible,
 			}
-			choice = adv.Choose(&view)
+			choice = adv.Choose(&r.view)
 			if !contains(eligible, choice) {
 				return nil, fmt.Errorf("hybrid: adversary chose ineligible process %d", choice)
 			}
@@ -287,8 +309,8 @@ func Run(cfg Config) (*Result, error) {
 		res.Steps++
 		if cfg.Trace != nil {
 			var round int32
-			if r, ok := st.machines[choice].(machine.Rounder); ok {
-				round = int32(r.Round())
+			if rd, ok := st.machines[choice].(machine.Rounder); ok {
+				round = int32(rd.Round())
 			}
 			cfg.Trace.Append(trace.Event{
 				Step: st.ops[choice], Proc: int32(choice), Round: round, Kind: trace.KindOp,

@@ -1,6 +1,7 @@
 package hybrid_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -209,5 +210,63 @@ func TestEligibleSemantics(t *testing.T) {
 	st2 := hybrid.NewState(ms2, mem2, []int{1, 1, 1}, 8, []int{8, 0, 0})
 	if got := st2.Eligible(); len(got) != 3 {
 		t.Fatalf("equal-priority exhausted eligible %v, want all three", got)
+	}
+
+	// Mid-quantum below the top priority, the higher process stays
+	// eligible — in the state and in its clone — and only the top
+	// priority runs alone mid-quantum.
+	ms3, mem3 := leanMachines(inputs)
+	st3 := hybrid.NewState(ms3, mem3, []int{2, 1, 1}, 8, []int{0, 0, 0})
+	st3.ExecuteOne(1)
+	for name, s := range map[string]*hybrid.State{"state": st3, "clone": st3.Clone()} {
+		if got := s.Eligible(); !reflect.DeepEqual(got, []int{0, 1}) {
+			t.Fatalf("%s: eligible %v with P1 mid-quantum under P0, want [0 1]", name, got)
+		}
+	}
+	st3.ExecuteOne(0)
+	if got := st3.Eligible(); !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("eligible %v with P0 mid-quantum at the top priority, want [0]", got)
+	}
+}
+
+// TestRunnerReuseMatchesRun reuses one Runner across sizes, priorities,
+// partial quanta and adversaries: every run must equal a fresh Run.
+func TestRunnerReuseMatchesRun(t *testing.T) {
+	var runner hybrid.Runner
+	for k, n := range []int{64, 3, 16, 1, 8, 64, 2} {
+		for seed := uint64(0); seed < 6; seed++ {
+			inputs := make([]int, n)
+			pri := make([]int, n)
+			used := make([]int, n)
+			for i := range inputs {
+				inputs[i] = int(seed>>uint(i%3)) & 1
+				pri[i] = (i + int(seed)) % 3
+			}
+			used[int(seed)%n] = int(seed) % 9
+			cfg := hybrid.Config{N: n, Quantum: 8}
+			switch seed % 3 {
+			case 1:
+				cfg.Priorities = pri
+			case 2:
+				cfg.InitialUsed = used
+			}
+			mk := func() hybrid.Config {
+				c := cfg
+				c.Machines, c.Mem = leanMachines(inputs)
+				c.Adversary = hybrid.NewRandom(seed + uint64(k))
+				return c
+			}
+			want, err := hybrid.Run(mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := runner.Run(mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d seed %d: reused runner %+v, fresh run %+v", n, seed, got, want)
+			}
+		}
 	}
 }

@@ -16,6 +16,7 @@ type State struct {
 	machines []machine.Machine
 	mem      register.Mem
 	pri      []int
+	maxPri   int // highest priority of any process
 	quantum  int
 
 	current   int   // running process, -1 if none
@@ -47,28 +48,51 @@ type State struct {
 // In liberal mode (model checker only) the old inconsistent semantics are
 // kept: every process carries its partial quantum to its first scheduling.
 func newState(machines []machine.Machine, mem register.Mem, pri []int, quantum int, used []int, liberal bool) *State {
+	st := &State{}
+	st.reset(machines, mem, pri, quantum, used, liberal)
+	return st
+}
+
+// reset re-arms st with newState's initial state, reusing its slices when
+// they are large enough.
+func (st *State) reset(machines []machine.Machine, mem register.Mem, pri []int, quantum int, used []int, liberal bool) {
 	n := len(machines)
-	st := &State{
+	*st = State{
 		machines:  machines,
 		mem:       mem,
 		pri:       pri,
 		quantum:   quantum,
 		current:   -1,
-		remaining: make([]int, n),
-		started:   make([]bool, n),
-		decided:   make([]bool, n),
-		pending:   make([]machine.Op, n),
-		ops:       make([]int64, n),
+		remaining: resize(st.remaining, n),
+		started:   resize(st.started, n),
+		decided:   resize(st.decided, n),
+		pending:   resize(st.pending, n),
+		ops:       resize(st.ops, n),
 		live:      n,
 		liberal:   liberal,
 	}
-	for i := range st.remaining {
+	for i := 0; i < n; i++ {
 		st.remaining[i] = quantum - used[i]
+		st.started[i] = false
+		st.decided[i] = false
+		st.pending[i] = machine.Op{}
+		st.ops[i] = 0
 		if !liberal && used[i] > 0 && st.current < 0 {
 			st.current = i
 		}
+		if i == 0 || pri[i] > st.maxPri {
+			st.maxPri = pri[i]
+		}
 	}
-	return st
+}
+
+// resize returns s truncated or regrown to length n, reusing its backing
+// array when large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // NewState is the exported constructor used by the model checker, with the
@@ -134,10 +158,17 @@ func (st *State) Eligible() []int {
 }
 
 // EligibleInto is Eligible with a caller-supplied buffer, so the per-step
-// scheduling loop in Run does not allocate.
+// scheduling loop in Run does not allocate. While the current process
+// holds its quantum at the top priority — most steps — it answers in
+// O(1) instead of scanning every process.
 func (st *State) EligibleInto(out []int) []int {
-	n := len(st.machines)
 	out = out[:0]
+	if c := st.current; c >= 0 && !st.decided[c] && st.remaining[c] > 0 && st.pri[c] >= st.maxPri {
+		// A process holding its quantum at the top priority cannot be
+		// pre-empted, so the scan below would return exactly [c].
+		return append(out, c)
+	}
+	n := len(st.machines)
 	free := st.current < 0 || st.decided[st.current]
 	exhausted := st.current >= 0 && st.remaining[st.current] <= 0
 	for i := 0; i < n; i++ {
@@ -216,6 +247,7 @@ func (st *State) Clone() *State {
 		machines:  make([]machine.Machine, n),
 		mem:       sim.Clone(),
 		pri:       st.pri, // immutable
+		maxPri:    st.maxPri,
 		quantum:   st.quantum,
 		current:   st.current,
 		remaining: append([]int(nil), st.remaining...),

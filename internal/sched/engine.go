@@ -165,54 +165,65 @@ type event struct {
 	proc int32
 }
 
-// eventHeap is a binary min-heap ordered by (t, proc). Ties on t are
-// broken by process index; with dithered starts ties occur with
-// probability zero, so the tie-break only pins down determinism.
+// before orders events by (t, proc). Ties on t are broken by process
+// index; with dithered starts ties occur with probability zero, so the
+// tie-break only pins down determinism. Because every live process has
+// exactly one pending event, the order is strict and total, so the
+// sequence of minima does not depend on how the heap is arranged.
+func (a event) before(b event) bool {
+	return a.t < b.t || (a.t == b.t && a.proc < b.proc)
+}
+
+// eventHeap is a binary min-heap of pending completions, one per live
+// process, ordered by event.before.
 type eventHeap []event
 
-func (h eventHeap) less(a, b event) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.proc < b.proc
-}
-
+// push adds ev, moving a hole up from the new leaf instead of swapping.
 func (h *eventHeap) push(ev event) {
 	*h = append(*h, ev)
-	i := len(*h) - 1
+	q := *h
+	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less((*h)[i], (*h)[parent]) {
+		if !ev.before(q[parent]) {
 			break
 		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = ev
 }
 
-func (h *eventHeap) pop() event {
-	old := *h
-	top := old[0]
-	last := len(old) - 1
-	old[0] = old[last]
-	*h = old[:last]
-	i, n := 0, last
+// fixTop replaces the minimum with ev and restores the heap order with a
+// single sift-down, moving a hole from the root instead of swapping.
+func (h eventHeap) fixTop(ev event) {
+	n := len(h)
+	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.less((*h)[l], (*h)[small]) {
-			small = l
-		}
-		if r < n && h.less((*h)[r], (*h)[small]) {
-			small = r
-		}
-		if small == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(ev) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	return top
+	h[i] = ev
+}
+
+// pop removes the minimum.
+func (h *eventHeap) pop() {
+	last := len(*h) - 1
+	ev := (*h)[last]
+	*h = (*h)[:last]
+	if last > 0 {
+		h.fixTop(ev)
+	}
 }
 
 // procState is the engine's per-process bookkeeping. The src/rng pair
@@ -353,21 +364,23 @@ func (e *Engine) noise(p *procState, kind register.OpKind) float64 {
 	return e.cfg.ReadNoise.Sample(p.rng)
 }
 
-// schedule computes S_{i,j+1} for process i's next operation and pushes it
-// on the event heap, or halts the process if the failure coin strikes.
-func (e *Engine) schedule(i int) {
+// advance computes S_{i,j+1}, the completion time of process i's next
+// operation, into its time field, or halts the process if the failure
+// coin or the crasher strikes. It reports whether the process is still
+// live; the caller files the new completion in the event heap.
+func (e *Engine) advance(i int) bool {
 	p := &e.procs[i]
 	p.j++
 	if e.cfg.FailureProb > 0 && p.rng.Float64() < e.cfg.FailureProb {
 		// H_ij = ∞: the process halts before this operation.
 		p.halted = true
 		e.traceHalt(p, i)
-		return
+		return false
 	}
 	if e.cfg.Crasher != nil && e.cfg.Crasher(i, p.j, (*engineView)(e)) {
 		p.halted = true
 		e.traceHalt(p, i)
-		return
+		return false
 	}
 	d := e.adv.StepDelay(i, p.j, (*engineView)(e))
 	if !validDelay(d, e.adv.Bound()) {
@@ -380,7 +393,7 @@ func (e *Engine) schedule(i int) {
 		p.lastDelay = d
 	}
 	p.time += d + e.noise(p, p.next.Kind)
-	e.heap.push(event{t: p.time, proc: int32(i)})
+	return true
 }
 
 // traceHalt records a process death at its last completed-operation time.
@@ -457,7 +470,9 @@ func (e *Engine) RunInto(res *Result) error {
 				Time: p.time, Delay: delta0, Proc: int32(i), Kind: trace.KindStart,
 			})
 		}
-		e.schedule(i)
+		if e.advance(i) {
+			e.heap.push(event{t: p.time, proc: int32(i)})
+		}
 	}
 
 	res.reset(n)
@@ -469,8 +484,13 @@ func (e *Engine) RunInto(res *Result) error {
 		}
 	}
 
+	// Each step executes the earliest pending completion in place: the
+	// root stays in the heap until the step settles whether the process
+	// goes on (fixTop files its next completion with one sift) or leaves
+	// (pop). Nothing in between reads the heap — the crasher, the
+	// adversary and the trace's leader view read only procs.
 	for live > 0 && len(e.heap) > 0 {
-		ev := e.heap.pop()
+		ev := e.heap[0]
 		i := int(ev.proc)
 		p := &e.procs[i]
 		op := p.next
@@ -535,11 +555,13 @@ func (e *Engine) RunInto(res *Result) error {
 					Round: int32(p.decRnd), Value: int32(p.dec), Kind: trace.KindDecide,
 				})
 			}
+			e.heap.pop()
 			live--
 		case machine.Failed:
 			res.Failed = true
 			p.halted = true
 			e.traceHalt(p, i)
+			e.heap.pop()
 			live--
 		case machine.Running:
 			p.next = next
@@ -548,8 +570,10 @@ func (e *Engine) RunInto(res *Result) error {
 				live = 0
 				break
 			}
-			e.schedule(i)
-			if p.halted {
+			if e.advance(i) {
+				e.heap.fixTop(event{t: p.time, proc: int32(i)})
+			} else {
+				e.heap.pop()
 				live--
 			}
 		}
