@@ -53,7 +53,7 @@ type ArenaConfig struct {
 	Adversary string
 	// Seed makes the whole arena reproducible: with a fixed seed, the
 	// same keys and bits yield identical decisions and simulated metrics
-	// regardless of goroutine scheduling.
+	// regardless of goroutine scheduling and of Shards and Workers.
 	Seed uint64
 	// QueueDepth is the per-shard request buffer; submissions beyond it
 	// block (backpressure).

@@ -19,9 +19,12 @@
 // The -backend flag resolves through the engine's model registry, so any
 // newly registered execution model is immediately available; -list prints
 // the registry. With -json the deterministic report is written to stdout
-// (two runs with the same -seed are byte-identical) and the wall-clock
+// (two runs with the same flags are byte-identical) and the wall-clock
 // throughput line goes to stderr; without it everything is printed as
-// text.
+// text. The decision fields — decided0/1, total_ops, mean_first_round,
+// max_last_round, and the checksum — never depend on -shards or
+// -workers; only the echoed pool shape, the per-shard split, and the
+// trace block do.
 package main
 
 import (

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,37 @@ func TestRunJSONReplay(t *testing.T) {
 	}
 	if !strings.Contains(first.String(), `"checksum"`) {
 		t.Errorf("JSON report missing checksum:\n%s", first.String())
+	}
+}
+
+// TestRunJSONDecisionsIndependentOfShards is the -shards regression
+// test: the decision fields of the JSON report depend on the seed and the
+// workload, never on the pool shape. Only the echoed shards, workers, and
+// per-shard split may differ.
+func TestRunJSONDecisionsIndependentOfShards(t *testing.T) {
+	type decisions struct {
+		Decided0       int64   `json:"decided0"`
+		Decided1       int64   `json:"decided1"`
+		TotalOps       int64   `json:"total_ops"`
+		MeanFirstRound float64 `json:"mean_first_round"`
+		MaxLastRound   int     `json:"max_last_round"`
+		Checksum       string  `json:"checksum"`
+	}
+	var golden decisions
+	for _, shards := range []string{"1", "2", "3"} {
+		var out bytes.Buffer
+		if err := run([]string{"-instances", "500", "-n", "8", "-seed", "1", "-shards", shards, "-json"}, &out); err != nil {
+			t.Fatal(err)
+		}
+		var got decisions
+		if err := json.Unmarshal(out.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		if shards == "1" {
+			golden = got
+		} else if got != golden {
+			t.Fatalf("-shards %s decided differently from -shards 1:\n%+v\n%+v", shards, got, golden)
+		}
 	}
 }
 

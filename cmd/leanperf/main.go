@@ -465,8 +465,9 @@ func probeArena(tc *arena.TraceConfig, bench, def, full int) func(harness.Scale)
 }
 
 // probeCampaign sweeps a small model × n grid through the campaign
-// runner: op = one instance, latency = one completed grid cell (the
-// campaign's unit of checkpointing).
+// runner: op = one instance, latency = one grid cell's execution time
+// (Progress.CellLatency; the cell is the campaign's unit of
+// checkpointing).
 func probeCampaign(sc harness.Scale) (Bench, error) {
 	reps := opsFor(sc, 200, 2000, 10000)
 	spec := campaign.Spec{
@@ -483,27 +484,22 @@ func probeCampaign(sc harness.Scale) (Bench, error) {
 	}
 	ops := int(camp.Instances)
 	return measure(ops, func(h *metrics.Histogram) error {
-		last := time.Now()
 		_, err := camp.Run(context.Background(), campaign.Config{
 			Shards:  2,
 			Workers: 2,
-			OnCell: func(p campaign.Progress) {
-				now := time.Now()
-				h.Observe(now.Sub(last).Seconds())
-				last = now
-			},
+			OnCell:  func(p campaign.Progress) { h.Observe(p.CellLatency.Seconds()) },
 		})
 		return err
 	})
 }
 
 // probeCampaignBatch pins the cell-batched bulk regime: many small cells
-// of cheap instances forced down the batched path (arena.RunCells over
-// pooled worker sessions — the 0 allocs/op loop TestRunBatchZeroAllocs
-// guards). Op = one instance, latency = one completed cell. The grid
+// of cheap instances (arena.RunCells over pooled worker sessions — the
+// 0 allocs/op loop TestRunBatchZeroAllocs guards). Op = one instance,
+// latency = one cell's execution time (Progress.CellLatency). The grid
 // deliberately uses the cheapest streaming-model instances (sched, n=4)
 // so the probe measures the execution path, not the model: per-op
-// dispatch overhead is where batched and streamed execution differ.
+// dispatch overhead.
 func probeCampaignBatch(sc harness.Scale) (Bench, error) {
 	reps := opsFor(sc, 1000, 5000, 20000)
 	spec := campaign.Spec{
@@ -520,16 +516,10 @@ func probeCampaignBatch(sc harness.Scale) (Bench, error) {
 	}
 	ops := int(camp.Instances)
 	return measure(ops, func(h *metrics.Histogram) error {
-		last := time.Now()
 		_, err := camp.Run(context.Background(), campaign.Config{
-			Shards:    4,
-			Workers:   2,
-			Execution: campaign.ExecBatched,
-			OnCell: func(p campaign.Progress) {
-				now := time.Now()
-				h.Observe(now.Sub(last).Seconds())
-				last = now
-			},
+			Shards:  4,
+			Workers: 2,
+			OnCell:  func(p campaign.Progress) { h.Observe(p.CellLatency.Seconds()) },
 		})
 		return err
 	})

@@ -1,7 +1,9 @@
 // Command leansweep runs declarative experiment campaigns: cartesian
 // grids over execution models, noise distributions, process counts, and
 // seeds, executed through the sharded arena with streaming per-cell
-// aggregation, checkpoint/resume, and deterministic reports.
+// aggregation, checkpoint/resume, and deterministic reports. Each grid
+// cell travels to one worker as a single arena cell and runs as one
+// tight loop over the worker's pooled session.
 //
 // Usage:
 //
@@ -10,21 +12,18 @@
 //	leansweep -dists exponential,uniform -ns 4,8 -seeds 1,2 -reps 100
 //	          [-models sched] [-adversaries zero,antileader:m=8]
 //	          [-name mysweep] [-shards 8] [-workers 2]
-//	          [-exec auto|streamed|batched] [-trace K] [-version]
+//	          [-trace K] [-version]
 //	leansweep -list
-//
-// -exec picks the cell execution mode. The default (auto) runs each cell
-// batched — one tight loop over a pooled worker session, the fast path —
-// unless -trace demands per-instance streaming. Both modes emit
-// byte-identical reports and checkpoints; -exec streamed exists for
-// comparison and for per-instance observation.
 //
 // -trace K (JSON format only) arms the flight recorder: the K most
 // interesting instances per arena shard — violations first, then the
 // deepest rounds — are attached, with their full event timelines, to
-// the report's "trace" block. Captures rank on simulated quantities
-// only, so traced reports replay byte-identically; CSV, table, and
-// checkpoint bytes are never affected.
+// the report's "trace" block, each named "<cell key>,rep=<rep>". Captures
+// rank on simulated quantities only, so traced reports replay
+// byte-identically for a given pool shape; the per-shard budget ranks
+// the repetitions of the cells each shard served, so the trace block
+// (and only it) depends on -shards. CSV, table, and checkpoint bytes are
+// never affected.
 //
 // A campaign is specified either by a JSON file (-spec path; the
 // POST /v1/campaigns wire format), by the built-in name "fig1" (the
@@ -84,8 +83,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	checkpoint := fs.String("checkpoint", "", "manifest path: atomically snapshot each completed cell")
 	resume := fs.Bool("resume", false, "resume an existing checkpoint (requires -checkpoint)")
 	format := fs.String("format", "csv", "report format: csv, json, or table (Figure-1-shaped)")
-	execMode := fs.String("exec", "auto", "cell execution: auto, streamed, or batched (auto batches unless -trace streams)")
-	traceK := fs.Int("trace", 0, "capture the K most interesting instances per shard into the JSON report (0: off; forces streamed execution)")
+	traceK := fs.Int("trace", 0, "capture the K most interesting instances per shard into the JSON report (0: off)")
 	quiet := fs.Bool("q", false, "suppress per-cell progress on stderr")
 	list := fs.Bool("list", false, "list execution models and distributions, then exit")
 	version := fs.Bool("version", false, "print build information, then exit")
@@ -114,20 +112,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *traceK > 0 && *format != "json" {
 		return fmt.Errorf("-trace captures render only in the JSON report: use -format json")
 	}
-	var exec campaign.Execution
-	switch *execMode {
-	case "auto":
-		exec = campaign.ExecAuto
-	case "streamed":
-		exec = campaign.ExecStreamed
-	case "batched":
-		exec = campaign.ExecBatched
-	default:
-		return fmt.Errorf("-exec must be auto, streamed, or batched, got %q", *execMode)
-	}
-	if exec == campaign.ExecBatched && *traceK > 0 {
-		return fmt.Errorf("-trace needs the streamed path: use -exec auto or streamed")
-	}
 
 	camp, err := resolveSpec(*specSrc, campaign.Spec{
 		Name:        *name,
@@ -147,7 +131,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		Workers:    *workers,
 		Checkpoint: *checkpoint,
 		Resume:     *resume,
-		Execution:  exec,
 	}
 	if *traceK > 0 {
 		cfg.Trace = &arena.TraceConfig{PerShard: *traceK}

@@ -102,22 +102,32 @@ func TestBuiltinFig1Table(t *testing.T) {
 	}
 }
 
+// adversarialGrid is the adversary-bearing campaign both golden tests
+// run — two schedules — and shapes the two pool shapes they run it on.
+var (
+	adversarialGrid = []string{"-models", "sched", "-dists", "exponential",
+		"-adversaries", "antileader:m=2,stagger:gap=1.5",
+		"-ns", "4,8", "-seeds", "1", "-reps", "25", "-q"}
+	shapes = [][]string{
+		{"-shards", "1", "-workers", "1"},
+		{"-shards", "4", "-workers", "2"},
+	}
+)
+
+// withShape assembles a leansweep command line: args, then a pool shape,
+// then the adversarial grid.
+func withShape(shape []string, args ...string) []string {
+	return append(append(append([]string{}, args...), shape...), adversarialGrid...)
+}
+
 // TestAdversarialGridGoldenAcrossShapesAndResume is the cross-layer
 // golden check for the adversary axis: an adversary-bearing campaign —
 // two schedules, two pool shapes — emits byte-identical CSV whether run
 // straight through, on a different pool, or interrupted after its first
 // checkpointed cell and resumed with -resume.
 func TestAdversarialGridGoldenAcrossShapesAndResume(t *testing.T) {
-	grid := []string{"-models", "sched", "-dists", "exponential",
-		"-adversaries", "antileader:m=2,stagger:gap=1.5",
-		"-ns", "4,8", "-seeds", "1", "-reps", "25", "-q"}
-
-	shapes := [][]string{
-		{"-shards", "1", "-workers", "1"},
-		{"-shards", "4", "-workers", "2"},
-	}
-	golden := sweep(t, append(append([]string{}, shapes[0]...), grid...)...)
-	if got := sweep(t, append(append([]string{}, shapes[1]...), grid...)...); got != golden {
+	golden := sweep(t, withShape(shapes[0])...)
+	if got := sweep(t, withShape(shapes[1])...); got != golden {
 		t.Fatalf("adversarial grid differs across pool shapes:\n%s\nvs\n%s", golden, got)
 	}
 	for _, label := range []string{",antileader:m=2,", ",stagger:gap=1.5,"} {
@@ -130,123 +140,72 @@ func TestAdversarialGridGoldenAcrossShapesAndResume(t *testing.T) {
 	// then resume on that shape: same bytes as the golden run.
 	for i, shape := range shapes {
 		ckpt := filepath.Join(t.TempDir(), "adv.ckpt.json")
-		ctx, cancel := context.WithCancel(context.Background())
-		watch := make(chan struct{})
-		go func() {
-			defer close(watch)
-			for {
-				if _, err := os.Stat(ckpt); err == nil {
-					cancel()
-					return
-				}
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(2 * time.Millisecond):
-				}
-			}
-		}()
-		args := append(append([]string{"-checkpoint", ckpt}, shape...), grid...)
-		var out bytes.Buffer
-		err := run(ctx, args, &out)
-		cancel()
-		<-watch
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("shape %d interrupted run: %v", i, err)
-		}
-		resumed := sweep(t, append([]string{"-resume"}, args...)...)
-		if resumed != golden {
+		interrupt(t, ckpt, withShape(shape, "-checkpoint", ckpt))
+		if resumed := sweep(t, withShape(shape, "-checkpoint", ckpt, "-resume")...); resumed != golden {
 			t.Fatalf("shape %d adversarial resume differs from golden:\n%s\nvs\n%s", i, resumed, golden)
 		}
 	}
 }
 
-// TestExecModesGoldenByteIdentical is the batched-execution acceptance
-// golden: an adversarial grid emits byte-identical reports in all three
-// formats whether run streamed or batched, on either pool shape, and
-// whether interrupted mid-run and resumed under the *other* execution
-// mode — the checkpoint manifest is mode-agnostic.
+// TestExecModesGoldenByteIdentical is the execution-independence golden:
+// campaigns have one execution path (arena cells), so the pool shape is
+// the only way left to execute a sweep differently, and the adversarial
+// grid must emit byte-identical reports in all three formats on either
+// shape, and when interrupted on one shape and resumed on the *other* —
+// the checkpoint manifest records no shape.
 func TestExecModesGoldenByteIdentical(t *testing.T) {
-	grid := []string{"-models", "sched", "-dists", "exponential",
-		"-adversaries", "antileader:m=2,stagger:gap=1.5",
-		"-ns", "4,8", "-seeds", "1", "-reps", "25", "-q"}
-	shapes := [][]string{
-		{"-shards", "1", "-workers", "1"},
-		{"-shards", "4", "-workers", "2"},
-	}
-
 	for _, format := range []string{"csv", "json", "table"} {
-		base := append([]string{"-format", format}, grid...)
-		golden := sweep(t, append(append([]string{"-exec", "streamed"}, shapes[0]...), base...)...)
-		for _, shape := range shapes {
-			for _, mode := range []string{"auto", "batched"} {
-				args := append(append([]string{"-exec", mode}, shape...), base...)
-				if got := sweep(t, args...); got != golden {
-					t.Fatalf("%s/%s/%v differs from streamed golden:\n%s\nvs\n%s",
-						format, mode, shape, got, golden)
-				}
+		golden := sweep(t, withShape(shapes[0], "-format", format)...)
+		if got := sweep(t, withShape(shapes[1], "-format", format)...); got != golden {
+			t.Fatalf("%s: report differs across pool shapes:\n%s\nvs\n%s", format, golden, got)
+		}
+		for i, shape := range shapes {
+			other := shapes[1-i]
+			ckpt := filepath.Join(t.TempDir(), "exec.ckpt.json")
+			interrupt(t, ckpt, withShape(shape, "-format", format, "-checkpoint", ckpt))
+			resumed := sweep(t, withShape(other, "-format", format, "-checkpoint", ckpt, "-resume")...)
+			if resumed != golden {
+				t.Fatalf("%s: shape %d run resumed on shape %d differs from golden:\n%s\nvs\n%s",
+					format, i, 1-i, resumed, golden)
 			}
 		}
 	}
 
-	// Interrupt under one mode, resume under the other: the manifest
-	// carries no trace of the execution mode, so crossing it must still
-	// reproduce the golden bytes (CSV, the default format, suffices here —
-	// the formats render from one aggregate).
-	golden := sweep(t, append(append([]string{"-exec", "streamed"}, shapes[0]...), grid...)...)
-	crossings := [][2]string{{"streamed", "batched"}, {"batched", "streamed"}}
-	for _, cross := range crossings {
-		ckpt := filepath.Join(t.TempDir(), "exec.ckpt.json")
-		ctx, cancel := context.WithCancel(context.Background())
-		watch := make(chan struct{})
-		go func() {
-			defer close(watch)
-			for {
-				if _, err := os.Stat(ckpt); err == nil {
-					cancel()
-					return
-				}
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(2 * time.Millisecond):
-				}
-			}
-		}()
-		args := append(append([]string{"-exec", cross[0], "-checkpoint", ckpt}, shapes[1]...), grid...)
-		var out bytes.Buffer
-		err := run(ctx, args, &out)
-		cancel()
-		<-watch
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s interrupted run: %v", cross[0], err)
-		}
-		resumeArgs := append(append([]string{"-exec", cross[1], "-resume", "-checkpoint", ckpt},
-			shapes[0]...), grid...)
-		if resumed := sweep(t, resumeArgs...); resumed != golden {
-			t.Fatalf("resume %s-after-%s differs from golden:\n%s\nvs\n%s",
-				cross[1], cross[0], resumed, golden)
-		}
+	// -trace rides the same cells: the JSON report gains a trace block
+	// whose captures name their cell and repetition.
+	traced := sweep(t, withShape(shapes[0], "-format", "json", "-trace", "1")...)
+	if !strings.Contains(traced, `"trace"`) || !strings.Contains(traced, ",rep=") {
+		t.Fatalf("-trace produced no per-repetition captures:\n%s", traced)
 	}
 }
 
-// TestExecFlagValidation covers the -exec error paths.
-func TestExecFlagValidation(t *testing.T) {
+// interrupt runs the CLI with args and cancels it as soon as the
+// checkpoint manifest at ckpt appears. The sweep may legitimately finish
+// first; either way the manifest is left for a -resume run.
+func interrupt(t *testing.T, ckpt string, args []string) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	watch := make(chan struct{})
+	go func() {
+		defer close(watch)
+		for {
+			if _, err := os.Stat(ckpt); err == nil {
+				cancel()
+				return
+			}
+			select {
+			case <-ctx.Done():
+				return
+			case <-time.After(2 * time.Millisecond):
+			}
+		}
+	}()
 	var out bytes.Buffer
-	if err := run(context.Background(), []string{"-reps", "2", "-exec", "bogus"}, &out); err == nil ||
-		!strings.Contains(err.Error(), "-exec") {
-		t.Fatalf("-exec bogus: err = %v, want rejection", err)
-	}
-	err := run(context.Background(), []string{"-reps", "2", "-exec", "batched",
-		"-trace", "2", "-format", "json"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "streamed") {
-		t.Fatalf("-exec batched with -trace: err = %v, want rejection", err)
-	}
-	// -trace under auto silently streams: it must still work.
-	outStr := sweep(t, "-dists", "exponential", "-ns", "4", "-seeds", "1", "-reps", "3",
-		"-trace", "1", "-format", "json", "-q")
-	if !strings.Contains(outStr, `"trace"`) {
-		t.Fatalf("-trace under auto produced no trace block:\n%s", outStr)
+	err := run(ctx, args, &out)
+	cancel()
+	<-watch
+	if err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run %v: %v", args, err)
 	}
 }
 

@@ -13,13 +13,14 @@
 // expected rounds, so thousands of mutually independent instances can be
 // packed onto a small worker pool with predictable per-request cost.
 //
-// Determinism: every instance's outcome is a pure function of (arena
-// seed, key, proposed bit, config). The shard holds a deterministic
-// sub-seed derived with xrand from the arena seed and the shard index,
-// and each instance's private seed mixes the shard seed with the key's
-// stable 64-bit hash. Worker scheduling therefore affects only wall-clock
-// latency, never decisions or simulated metrics, and whole-arena runs
-// replay exactly under a fixed seed — including under `go test -race`.
+// Determinism: every instance's outcome is a pure function of the arena
+// seed, the key, the proposed bit, N, the noise, the model, and the
+// adversary. Each instance's private seed mixes the arena seed with the
+// key's stable 64-bit hash, so the pool shape (Shards, Workers) decides
+// only where and when an instance runs, never what it decides: whole-arena
+// runs replay exactly under a fixed seed on any pool shape — including
+// under `go test -race`. Cells (SubmitCell) carry their own seeds and do
+// not read the arena seed at all.
 package arena
 
 import (
@@ -70,7 +71,7 @@ type Config struct {
 	// Adversary is the adversarial schedule armed for every derived
 	// (Submit/Propose) instance; nil selects the zero schedule. New
 	// rejects a schedule the model cannot run with the engine's typed
-	// error. Explicit-spec requests carry their own via Spec.Adversary.
+	// error. Cells carry their own via CellRequest.Adversary.
 	Adversary *engine.Adversary
 	// Seed makes the whole arena reproducible: same seed, same keys, same
 	// bits — byte-identical decisions and simulated metrics.
@@ -79,14 +80,10 @@ type Config struct {
 	// DefaultQueueDepth).
 	QueueDepth int
 	// Metrics, when non-nil, receives live telemetry: every decision,
-	// round count, operation count, and per-request latency is recorded on
-	// per-worker stripes (see NewMetrics). All bundle fields must be set.
+	// round count, operation count, and per-instance latency is recorded
+	// on per-worker stripes (see NewMetrics). All bundle fields must be
+	// set.
 	Metrics *Metrics
-	// OnServe, when non-nil, is called from the serving worker after each
-	// instance completes, before its Result is delivered. It must be fast
-	// and must not block: it runs on the worker's serving loop. Serving
-	// layers use it for live per-shard progress.
-	OnServe func(Result)
 	// Trace, when non-nil, arms the flight recorder: each worker session
 	// records every instance's step events and each shard keeps its
 	// PerShard most interesting captures (see TraceConfig). Read them
@@ -124,10 +121,10 @@ type Result struct {
 	Err error
 }
 
-// request is one queued proposal. A request is either derived (the
+// request is one queued unit of work: either one derived proposal (the
 // Propose/Submit path: the instance's seed and inputs come from the arena
-// seed and the key) or explicit (the SubmitSpec path: the caller supplies
-// the full engine.Spec, and may override the arena's model).
+// seed and the key) or, when cell is non-nil, a whole cell (the
+// SubmitCell path), delivered on cellDone instead of done.
 type request struct {
 	key   string
 	shard int
@@ -135,13 +132,6 @@ type request struct {
 	enq   time.Time
 	done  chan Result
 
-	explicit bool
-	model    engine.Model // nil selects the arena's configured model
-	spec     engine.Spec  // valid only when explicit
-
-	// cell, when non-nil, makes this a cell-batched request (the
-	// SubmitCell path): one queue entry carrying a whole batch of
-	// repetitions, delivered on cellDone instead of done.
 	cell     *CellRequest
 	cellDone chan CellResult
 }
@@ -223,7 +213,6 @@ func (s Stats) MeanFirstRound() float64 {
 // shard is one independent lane of the service.
 type shard struct {
 	id   int
-	seed uint64
 	reqs chan *request
 
 	mu    sync.Mutex
@@ -293,7 +282,6 @@ func New(cfg Config) (*Arena, error) {
 	for i := range a.shards {
 		s := &shard{
 			id:   i,
-			seed: xrand.Mix(cfg.Seed, 0x7368617264, uint64(i)), // "shard"
 			reqs: make(chan *request, cfg.QueueDepth),
 		}
 		a.shards[i] = s
@@ -362,131 +350,6 @@ func (a *Arena) enqueue(req *request) error {
 	return nil
 }
 
-// SpecRequest is one explicitly specified instance for SubmitSpec: the
-// caller controls the seed, the process count, and (optionally) the
-// inputs, the noise distribution, and the execution model, instead of
-// having them derived from the arena configuration and the key. It is how
-// orchestration layers (internal/campaign) run heterogeneous work — cells
-// varying model, dist, N, and seed — through one shared worker pool.
-type SpecRequest struct {
-	// Model executes the instance; nil selects the arena's configured
-	// model.
-	Model engine.Model
-	// Spec is passed to the model as given, except that Spec.Shard is
-	// overwritten with the serving shard and a nil Spec.Inputs selects the
-	// paper's Figure 1 half-and-half assignment (process i gets input 0
-	// for i < N/2, else 1), built in the worker's pooled buffer. Spec.Key
-	// routes exactly like Submit's key. A non-nil Inputs slice is borrowed
-	// until the Result is delivered; the caller must not modify it before
-	// then. A nil Spec.Noise is passed through as-is — valid only for
-	// models that declare engine.NoiseFree. Spec.Adversary likewise rides
-	// through verbatim; a model that cannot run it fails the instance with
-	// the engine's typed error.
-	Spec engine.Spec
-}
-
-// SubmitSpec enqueues one explicit instance and returns the channel its
-// Result will be delivered on. Like Submit it blocks only on a full shard
-// queue and returns ErrClosed after Close. The outcome is a pure function
-// of the request — the arena seed plays no part — so identical requests
-// replay identically on any arena shape.
-func (a *Arena) SubmitSpec(sr SpecRequest) (<-chan Result, error) {
-	if sr.Spec.N < 1 {
-		return nil, fmt.Errorf("arena: spec N must be positive, got %d", sr.Spec.N)
-	}
-	if sr.Spec.Inputs != nil && len(sr.Spec.Inputs) != sr.Spec.N {
-		return nil, fmt.Errorf("arena: spec has %d inputs for %d processes", len(sr.Spec.Inputs), sr.Spec.N)
-	}
-	req := &request{
-		key:      sr.Spec.Key,
-		shard:    a.ShardFor(sr.Spec.Key),
-		enq:      time.Now(),
-		done:     make(chan Result, 1),
-		explicit: true,
-		model:    sr.Model,
-		spec:     sr.Spec,
-	}
-	if err := a.enqueue(req); err != nil {
-		return nil, err
-	}
-	return req.done, nil
-}
-
-// SubmitWait submits one explicit instance and waits for its decision or
-// for ctx. On ctx expiry the instance still runs to completion in the
-// background; only the wait is abandoned.
-func (a *Arena) SubmitWait(ctx context.Context, sr SpecRequest) (Result, error) {
-	done, err := a.SubmitSpec(sr)
-	if err != nil {
-		return Result{}, err
-	}
-	select {
-	case res := <-done:
-		return res, res.Err
-	case <-ctx.Done():
-		return Result{}, ctx.Err()
-	}
-}
-
-// RunSpecs pipelines count explicit instances through the arena with a
-// bounded submission window and delivers results to fn in submission
-// order — fn(i, result of gen(i)) — which is what lets a caller fold a
-// deterministic aggregate while memory stays bounded by the window, not
-// the batch. gen(i) is called once per index, in order; fn runs on the
-// caller's goroutine.
-//
-// Cancellation is clean by construction: when ctx is cancelled RunSpecs
-// stops submitting, drains every already-submitted instance to
-// completion (delivering each to fn), and returns ctx.Err(). The arena
-// is left fully drainable — Close succeeds and no goroutine or queue
-// entry leaks — so an aborted batch costs only the instances already in
-// flight.
-func (a *Arena) RunSpecs(ctx context.Context, count int, gen func(i int) SpecRequest, fn func(i int, r Result)) error {
-	if count <= 0 {
-		return nil
-	}
-	// The window bounds outstanding instances: at most the arena's queue
-	// capacity plus its in-service slots wait at once, so submission can
-	// never deadlock against a full queue while every worker is busy.
-	window := a.QueueCap() + len(a.shards)*a.cfg.Workers
-	if window > count {
-		window = count
-	}
-	if window < 1 {
-		window = 1
-	}
-	chans := make([]<-chan Result, window)
-	submitted, delivered := 0, 0
-	deliver := func() {
-		r := <-chans[delivered%window]
-		fn(delivered, r)
-		delivered++
-	}
-	var err error
-	for i := 0; i < count; i++ {
-		if e := ctx.Err(); e != nil {
-			err = e
-			break
-		}
-		done, e := a.SubmitSpec(gen(i))
-		if e != nil {
-			err = e
-			break
-		}
-		chans[i%window] = done
-		submitted++
-		// Keep the window full but never over-full: the slot the next
-		// iteration writes must already have been delivered.
-		if submitted-delivered == window && i+1 < count {
-			deliver()
-		}
-	}
-	for delivered < submitted {
-		deliver()
-	}
-	return err
-}
-
 // QueueDepth reports the number of requests currently sitting in shard
 // queues (admitted by Submit, not yet picked up by a worker). It is a
 // live introspection signal — serving layers export it as a gauge and
@@ -497,12 +360,6 @@ func (a *Arena) QueueDepth() int {
 		depth += len(s.reqs)
 	}
 	return depth
-}
-
-// QueueCap reports the total queue capacity across shards: the maximum
-// number of requests that can wait before Submit blocks.
-func (a *Arena) QueueCap() int {
-	return len(a.shards) * a.cfg.QueueDepth
 }
 
 // Propose submits one proposal and waits for its decision or for ctx.
@@ -584,7 +441,7 @@ func (a *Arena) worker(s *shard, idx int) {
 	}
 	for req := range s.reqs {
 		if req.cell != nil {
-			req.cellDone <- a.serveCell(s, sess, req, wm)
+			req.cellDone <- a.serveCell(s, sess, req, wm, tk)
 			continue
 		}
 		if rec := sess.Trace(); rec != nil {
@@ -597,56 +454,30 @@ func (a *Arena) worker(s *shard, idx int) {
 		if wm != nil {
 			wm.record(res)
 		}
-		if a.cfg.OnServe != nil {
-			a.cfg.OnServe(res)
-		}
 		req.done <- res
 	}
 }
 
-// serve runs one instance. On the derived path the instance seed mixes
-// the shard's deterministic sub-seed with the key's stable hash; on the
-// explicit path the request carries its own spec verbatim. Either way the
-// outcome does not depend on which worker runs it or in what order.
+// serve runs one derived instance. Its seed mixes the arena seed with
+// the key's stable hash, so the outcome does not depend on which shard or
+// worker runs it, or in what order.
 func (a *Arena) serve(s *shard, sess *engine.Session, req *request, tk *traceKeeper) Result {
 	model := a.cfg.Model
-	var spec engine.Spec
-	if req.explicit {
-		if req.model != nil {
-			model = req.model
-		}
-		spec = req.spec
-		spec.Shard = s.id
-		if spec.Inputs == nil {
-			// The Figure 1 assignment (harness.HalfInputs): first half 0,
-			// rest 1, built in the pooled buffer.
-			inputs := sess.Inputs(spec.N)
-			for i := range inputs {
-				if i < spec.N/2 {
-					inputs[i] = 0
-				} else {
-					inputs[i] = 1
-				}
-			}
-			spec.Inputs = inputs
-		}
-	} else {
-		seed := xrand.Mix(s.seed, hash64(req.key))
-		inputs := sess.Inputs(a.cfg.N)
-		inputs[0] = req.bit
-		rng := sess.RNG(seed, 0x696e70757473) // "inputs"
-		for i := 1; i < a.cfg.N; i++ {
-			inputs[i] = rng.Intn(2)
-		}
-		spec = engine.Spec{
-			Key:       req.key,
-			Shard:     s.id,
-			N:         a.cfg.N,
-			Inputs:    inputs,
-			Noise:     a.cfg.Noise,
-			Adversary: a.cfg.Adversary,
-			Seed:      seed,
-		}
+	seed := xrand.Mix(a.cfg.Seed, hash64(req.key))
+	inputs := sess.Inputs(a.cfg.N)
+	inputs[0] = req.bit
+	rng := sess.RNG(seed, 0x696e70757473) // "inputs"
+	for i := 1; i < a.cfg.N; i++ {
+		inputs[i] = rng.Intn(2)
+	}
+	spec := engine.Spec{
+		Key:       req.key,
+		Shard:     s.id,
+		N:         a.cfg.N,
+		Inputs:    inputs,
+		Noise:     a.cfg.Noise,
+		Adversary: a.cfg.Adversary,
+		Seed:      seed,
 	}
 	res := Result{Key: req.key, Shard: s.id}
 	ir, err := model.Run(spec, sess)

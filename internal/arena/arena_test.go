@@ -41,11 +41,11 @@ func runBatch(t *testing.T, cfg arena.Config, count int) (*arena.Arena, []arena.
 }
 
 func TestDeterministicReplay(t *testing.T) {
-	// Two arenas with the same seed but different worker-pool shapes must
-	// produce identical decisions, rounds, ops, and report JSON: worker
-	// scheduling may only affect latency.
+	// Two arenas with the same seed but different pool shapes — shard and
+	// worker counts both — must produce identical decisions, rounds, ops,
+	// and report JSON: the pool may only affect latency and placement.
 	cfgA := arena.Config{Shards: 4, Workers: 1, N: 8, Seed: 99}
-	cfgB := arena.Config{Shards: 4, Workers: 8, N: 8, Seed: 99}
+	cfgB := arena.Config{Shards: 3, Workers: 8, N: 8, Seed: 99}
 	const count = 400
 
 	aA, resA := runBatch(t, cfgA, count)
@@ -60,7 +60,7 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 		if ra.Value != rb.Value || ra.FirstRound != rb.FirstRound ||
 			ra.LastRound != rb.LastRound || ra.Ops != rb.Ops || ra.SimTime != rb.SimTime {
-			t.Fatalf("instance %d diverged across worker counts: %+v vs %+v", i, ra, rb)
+			t.Fatalf("instance %d diverged across pool shapes: %+v vs %+v", i, ra, rb)
 		}
 	}
 
@@ -339,11 +339,11 @@ func TestReportAggregation(t *testing.T) {
 	}
 }
 
-// TestSubmitSpecMatchesHarness checks the explicit path end to end: an
-// explicit spec with a verbatim seed and nil inputs must reproduce
+// TestRunCellMatchesHarness checks the cell path end to end: a one-rep
+// cell with a verbatim seed and nil inputs must reproduce
 // engine.Model.Run on the half-and-half input assignment, independent of
 // the arena's own seed, shape, and configured N.
-func TestSubmitSpecMatchesHarness(t *testing.T) {
+func TestRunCellMatchesHarness(t *testing.T) {
 	model, err := engine.ByName("sched")
 	if err != nil {
 		t.Fatal(err)
@@ -358,11 +358,16 @@ func TestSubmitSpecMatchesHarness(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		n := 2 + i%7
 		seed := uint64(1000 + i)
-		res, err := a.SubmitWait(context.Background(), arena.SpecRequest{
-			Spec: engine.Spec{Key: fmt.Sprintf("cell-%d", i), N: n, Noise: noise, Seed: seed},
-		})
-		if err != nil {
+		sink := &recordingSink{}
+		if _, err := a.RunCell(context.Background(), arena.CellRequest{
+			Key: fmt.Sprintf("cell-%d", i), N: n, Noise: noise, Reps: 1,
+			Seed: func(int) uint64 { return seed }, Sink: sink,
+		}); err != nil {
 			t.Fatalf("instance %d: %v", i, err)
+		}
+		res := sink.results[0]
+		if res.Err != nil {
+			t.Fatalf("instance %d: %v", i, res.Err)
 		}
 		inputs := make([]int, n)
 		for j := n / 2; j < n; j++ {
@@ -379,62 +384,12 @@ func TestSubmitSpecMatchesHarness(t *testing.T) {
 	}
 }
 
-// TestSubmitSpecValidation covers the client-error paths.
-func TestSubmitSpecValidation(t *testing.T) {
-	a, err := arena.New(arena.Config{Shards: 1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if _, err := a.SubmitSpec(arena.SpecRequest{Spec: engine.Spec{Key: "x", N: 0}}); err == nil {
-		t.Fatal("accepted N=0")
-	}
-	if _, err := a.SubmitSpec(arena.SpecRequest{Spec: engine.Spec{Key: "x", N: 3, Inputs: []int{0, 1}}}); err == nil {
-		t.Fatal("accepted mismatched inputs")
-	}
-}
-
-// TestRunSpecsOrderedDelivery checks that fn sees results in submission
-// order with the right indexes, whatever the worker interleaving.
-func TestRunSpecsOrderedDelivery(t *testing.T) {
-	a, err := arena.New(arena.Config{Shards: 4, Workers: 3, QueueDepth: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	noise := dist.Exponential{MeanVal: 1}
-	const count = 300
-	next := 0
-	err = a.RunSpecs(context.Background(), count,
-		func(i int) arena.SpecRequest {
-			return arena.SpecRequest{Spec: engine.Spec{
-				Key: fmt.Sprintf("k-%d", i), N: 4, Noise: noise, Seed: uint64(i),
-			}}
-		},
-		func(i int, r arena.Result) {
-			if i != next {
-				t.Fatalf("delivery out of order: got index %d, want %d", i, next)
-			}
-			if r.Err != nil {
-				t.Fatalf("instance %d: %v", i, r.Err)
-			}
-			if r.Key != fmt.Sprintf("k-%d", i) {
-				t.Fatalf("index %d delivered result for %q", i, r.Key)
-			}
-			next++
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next != count {
-		t.Fatalf("delivered %d of %d results", next, count)
-	}
-}
-
 // TestRunSpecsCancelMidBatchLeavesArenaDrainable is the regression test
-// for clean campaign-cell aborts: cancelling mid-batch must stop
-// submissions, drain what was already submitted (in order), leave the
-// arena fully usable and closable, and leak no goroutines.
+// for clean aborts of a per-instance batch, which now runs as one-rep
+// cells through RunCells: cancelling mid-batch on a pool with several
+// cells in flight per shard stops submission, every submitted instance
+// still completes and delivers in order, the arena serves fresh work,
+// Close drains promptly, and no goroutine leaks.
 func TestRunSpecsCancelMidBatchLeavesArenaDrainable(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -448,25 +403,30 @@ func TestRunSpecsCancelMidBatchLeavesArenaDrainable(t *testing.T) {
 	const count = 10_000
 	submittedWhenCancelled := -1
 	delivered := 0
-	err = a.RunSpecs(ctx, count,
-		func(i int) arena.SpecRequest {
+	err = a.RunCells(ctx, count,
+		func(i int) arena.CellRequest {
 			if i == 40 {
 				cancel()
 				submittedWhenCancelled = i
 			}
-			return arena.SpecRequest{Spec: engine.Spec{
-				Key: fmt.Sprintf("k-%d", i), N: 4, Noise: noise, Seed: uint64(i),
-			}}
+			seed := uint64(i)
+			return arena.CellRequest{
+				Key: fmt.Sprintf("k-%d", i), N: 4, Noise: noise, Reps: 1,
+				Seed: func(int) uint64 { return seed }, Sink: &recordingSink{},
+			}
 		},
-		func(i int, r arena.Result) {
+		func(i int, r arena.CellResult) {
 			if i != delivered {
 				t.Fatalf("delivery out of order after cancel: got %d, want %d", i, delivered)
+			}
+			if r.Reps != 1 || r.Errors != 0 {
+				t.Fatalf("instance %d: %+v", i, r)
 			}
 			delivered++
 		})
 	cancel()
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunSpecs returned %v, want context.Canceled", err)
+		t.Fatalf("RunCells returned %v, want context.Canceled", err)
 	}
 	if submittedWhenCancelled < 0 {
 		t.Fatal("generator never reached the cancellation point")
@@ -477,11 +437,13 @@ func TestRunSpecsCancelMidBatchLeavesArenaDrainable(t *testing.T) {
 	}
 
 	// The arena must still serve fresh work after an aborted batch ...
-	res, err := a.SubmitWait(context.Background(), arena.SpecRequest{
-		Spec: engine.Spec{Key: "after-cancel", N: 4, Noise: noise, Seed: 9},
+	sink := &recordingSink{}
+	res, err := a.RunCell(context.Background(), arena.CellRequest{
+		Key: "after-cancel", N: 4, Noise: noise, Reps: 1,
+		Seed: func(int) uint64 { return 9 }, Sink: sink,
 	})
-	if err != nil || res.Err != nil {
-		t.Fatalf("arena unusable after cancelled batch: %v / %v", err, res.Err)
+	if err != nil || res.Errors != 0 || len(sink.results) != 1 || sink.results[0].Err != nil {
+		t.Fatalf("arena unusable after cancelled batch: %v / %+v", err, res)
 	}
 	// ... and Close must drain promptly.
 	closed := make(chan error, 1)
@@ -498,10 +460,7 @@ func TestRunSpecsCancelMidBatchLeavesArenaDrainable(t *testing.T) {
 	// Workers and helpers must all have exited; allow the runtime a moment
 	// to reap.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if g := runtime.NumGoroutine(); g <= before {
-			break
-		}
+	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutine leak after cancelled batch: %d before, %d after", before, runtime.NumGoroutine())
 		}

@@ -1,21 +1,24 @@
-// Cell-batched execution: the arena's bulk path. Where Submit/SubmitSpec
-// route one *instance* per queue entry, SubmitCell routes one *cell* — a
-// whole batch of repetitions of the same (model, inputs, noise,
-// adversary, N) template, differing only in seed — to a single worker,
-// which runs the entire batch as one tight loop over its pooled
-// engine.Session (engine.RunBatch) and folds every repetition straight
-// into the caller's CellSink. No per-repetition request materialization,
-// queue hop, result-channel hop, or key formatting: steady-state
-// repetitions allocate nothing and cost one model run each.
+// Cell-batched execution: the arena's bulk path. Where Submit routes one
+// *instance* per queue entry, SubmitCell routes one *cell* — a whole
+// batch of repetitions of the same (model, inputs, noise, adversary, N)
+// template, differing only in seed — to a single worker, which runs the
+// entire batch as one tight loop over its pooled engine.Session
+// (engine.RunBatch) and folds every repetition straight into the
+// caller's CellSink. No per-repetition request materialization, queue
+// hop, result-channel hop, or key formatting: steady-state repetitions
+// allocate nothing and cost one model run each.
 //
-// Determinism is unchanged: a cell's outcomes are a pure function of the
-// CellRequest (the arena seed plays no part on this path, exactly like
-// SubmitSpec), repetitions fold into the sink in repetition order, and
-// which shard or worker serves the cell affects only wall-clock timing.
-// The flight recorder is disarmed for the duration of a cell — batching
-// exists for the untraced bulk regime; callers that need traces use the
-// streamed path — and Config.OnServe is likewise not called per
-// repetition.
+// A cell's outcomes are a pure function of the CellRequest (the arena
+// seed plays no part on this path), repetitions fold into the sink in
+// repetition order, and which shard or worker serves the cell affects
+// only wall-clock timing — and, on a traced arena, which shard's capture
+// budget ranks its repetitions. On a traced arena the cell loop resets
+// the worker's recorder before each repetition and offers the repetition
+// to the worker's trace keeper under the key "<Key>,rep=<rep>" with seed
+// Seed(rep); untraced cells pay one nil check per repetition. With
+// Config.Metrics set, the latency histogram observes every repetition,
+// from the cell's enqueue to that repetition's end, while the counters
+// advance once per cell.
 package arena
 
 import (
@@ -43,8 +46,8 @@ type CellRequest struct {
 	// model.
 	Model engine.Model
 	// Key identifies the cell for routing (SubmitCell), shard statistics,
-	// and CellResult; unlike the streamed path there is no per-repetition
-	// key.
+	// and CellResult. Trace captures name repetition rep
+	// "<Key>,rep=<rep>".
 	Key string
 	// N is the per-instance process count.
 	N int
@@ -147,12 +150,14 @@ func (a *Arena) RunCell(ctx context.Context, cr CellRequest) (CellResult, error)
 
 // RunCells pipelines count cells through the arena with a bounded
 // submission window and delivers results to fn in submission order —
-// fn(i, result of gen(i)) — mirroring RunSpecs at cell granularity.
-// Cells are placed round-robin across shards (placement cannot affect
-// outcomes, so balanced placement is free throughput; consistent-hash
-// routing would idle shards whenever a few keys collide).
+// fn(i, result of gen(i)) — which is what lets a caller fold a
+// deterministic aggregate while memory stays bounded by the window.
+// gen(i) is called once per index, in order; fn runs on the caller's
+// goroutine. Cells are placed round-robin across shards (placement
+// cannot affect outcomes, so balanced placement is free throughput;
+// consistent-hash routing would idle shards whenever a few keys collide).
 //
-// Cancellation drains like RunSpecs: on ctx expiry submission stops,
+// Cancellation is clean by construction: on ctx expiry submission stops,
 // every already-submitted cell runs to completion and is delivered to
 // fn, and RunCells returns ctx.Err() with the arena fully drainable.
 func (a *Arena) RunCells(ctx context.Context, count int, gen func(i int) CellRequest, fn func(i int, r CellResult)) error {
@@ -202,7 +207,7 @@ func (a *Arena) RunCells(ctx context.Context, count int, gen func(i int) CellReq
 // serveCell runs one whole cell on the serving worker: inputs built once,
 // one spec reseeded in place, every repetition folded into the sink and a
 // worker-local stats block that merges under the shard lock exactly once.
-func (a *Arena) serveCell(s *shard, sess *engine.Session, req *request, wm *workerMetrics) CellResult {
+func (a *Arena) serveCell(s *shard, sess *engine.Session, req *request, wm *workerMetrics, tk *traceKeeper) CellResult {
 	cr := req.cell
 	model := cr.Model
 	if model == nil {
@@ -228,18 +233,24 @@ func (a *Arena) serveCell(s *shard, sess *engine.Session, req *request, wm *work
 		Noise:     cr.Noise,
 		Adversary: cr.Adversary,
 	}
-	// Batching is the untraced bulk regime: disarm the recorder so a
-	// traced arena serving a cell doesn't record an unranked pile of
-	// repetitions, and re-arm it for subsequent streamed requests.
+	seed := cr.Seed
 	rec := sess.Trace()
+	var repSeed uint64
 	if rec != nil {
-		sess.SetTrace(nil)
+		// RunBatch derives each repetition's seed immediately before
+		// running it: the one point to reset the recorder and remember
+		// the seed for the capture.
+		seed = func(rep int) uint64 {
+			rec.Reset()
+			repSeed = cr.Seed(rep)
+			return repSeed
+		}
 	}
 	out := CellResult{Key: cr.Key, Shard: s.id, Reps: cr.Reps}
 	var local ShardStats
 	sink := cr.Sink
 	n := cr.N
-	engine.RunBatch(model, spec, sess, cr.Reps, cr.Seed, func(rep int, r engine.Result, err error) {
+	engine.RunBatch(model, spec, sess, cr.Reps, seed, func(rep int, r engine.Result, err error) {
 		res := Result{Key: cr.Key, Shard: s.id}
 		if err != nil {
 			res.Err = err
@@ -256,16 +267,20 @@ func (a *Arena) serveCell(s *shard, sess *engine.Session, req *request, wm *work
 		}
 		local.add(res)
 		sink.Add(n, res)
+		if wm != nil {
+			wm.latency.Observe(time.Since(req.enq).Seconds())
+		}
+		if rec != nil {
+			key := fmt.Sprintf("%s,rep=%d", cr.Key, rep)
+			tk.consider(model.Name(), engine.Spec{Key: key, N: n, Seed: repSeed}, res, rec)
+		}
 	})
-	if rec != nil {
-		sess.SetTrace(rec)
-	}
 	out.Latency = time.Since(req.enq)
 	s.mu.Lock()
 	s.stats.merge(local)
 	s.mu.Unlock()
 	if wm != nil {
-		wm.recordCell(local, out.Latency)
+		wm.recordCell(local)
 	}
 	return out
 }

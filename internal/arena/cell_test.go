@@ -26,12 +26,18 @@ func (s *recordingSink) Add(n int, r arena.Result) {
 
 func cellSeed(c, rep int) uint64 { return uint64(c*1000+rep)*2654435761 + 7 }
 
-// TestRunCellsMatchesRunSpecs is the cell path's core identity: the same
-// workload pushed through RunCells (one queue entry per cell, batched on
-// a pooled session) and through RunSpecs (one entry per instance) yields
-// the same per-repetition results, the same aggregate stats, and
-// cell-grained metrics that agree with both.
-func TestRunCellsMatchesRunSpecs(t *testing.T) {
+// TestRunCellsMatchesLoop is the cell path's core identity, checked
+// against an independent oracle: the same workload pushed through
+// RunCells (one queue entry per cell, batched on a pooled session) on two
+// pool shapes yields, rep for rep, the results of a plain loop of direct
+// model runs; cells are delivered in submission order; the shard stats
+// total the loop's counters; and the metrics agree with both, with one
+// latency observation per repetition.
+func TestRunCellsMatchesLoop(t *testing.T) {
+	sched, err := engine.ByName("sched")
+	if err != nil {
+		t.Fatal(err)
+	}
 	noise := dist.Exponential{MeanVal: 1}
 	const cells, reps = 6, 20
 	explicit := []int{1, 0, 1, 0, 1} // cell 3 pins its own inputs
@@ -49,96 +55,115 @@ func TestRunCellsMatchesRunSpecs(t *testing.T) {
 		return cr
 	}
 
-	reg := metrics.NewRegistry()
-	m := arena.NewMetrics(reg, "path", "cell")
-	ac, err := arena.New(arena.Config{Shards: 3, Workers: 2, Metrics: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ac.Close()
-	sinks := make([]*recordingSink, cells)
-	cellResults := make([]arena.CellResult, cells)
-	err = ac.RunCells(context.Background(), cells,
-		func(c int) arena.CellRequest {
-			sinks[c] = &recordingSink{}
-			cr := gen(c)
-			cr.Sink = sinks[c]
-			return cr
-		},
-		func(c int, r arena.CellResult) { cellResults[c] = r })
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	as, err := arena.New(arena.Config{Shards: 5, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer as.Close()
-	streamed := make([]arena.Result, 0, cells*reps)
-	err = as.RunSpecs(context.Background(), cells*reps,
-		func(i int) arena.SpecRequest {
-			c, rep := i/reps, i%reps
-			cr := gen(c)
-			return arena.SpecRequest{Spec: engine.Spec{
-				Key: cr.Key, N: cr.N, Inputs: cr.Inputs, Noise: cr.Noise, Seed: cellSeed(c, rep),
-			}}
-		},
-		func(i int, r arena.Result) { streamed = append(streamed, r) })
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	// The oracle: direct runs in cell and repetition order, and the
+	// counters a shard would keep for them.
+	loop := make([][]engine.Result, cells)
+	var want arena.ShardStats
 	for c := 0; c < cells; c++ {
-		sink := sinks[c]
-		if len(sink.results) != reps {
-			t.Fatalf("cell %d folded %d repetitions, want %d", c, len(sink.results), reps)
-		}
-		if cellResults[c].Reps != reps || cellResults[c].Errors != 0 || cellResults[c].FirstErr != nil {
-			t.Fatalf("cell %d result %+v", c, cellResults[c])
-		}
-		if cellResults[c].Key != fmt.Sprintf("cell-%02d", c) {
-			t.Fatalf("cell %d delivered key %q", c, cellResults[c].Key)
+		cr := gen(c)
+		inputs := cr.Inputs
+		if inputs == nil {
+			inputs = make([]int, cr.N)
+			for i := cr.N / 2; i < cr.N; i++ {
+				inputs[i] = 1
+			}
 		}
 		for rep := 0; rep < reps; rep++ {
-			got, want := sink.results[rep], streamed[c*reps+rep]
-			if sink.n[rep] != 2+c {
-				t.Fatalf("cell %d rep %d folded with n=%d, want %d", c, rep, sink.n[rep], 2+c)
+			r, err := sched.Run(engine.Spec{Key: cr.Key, N: cr.N, Inputs: inputs, Noise: noise, Seed: cellSeed(c, rep)}, nil)
+			if err != nil {
+				t.Fatalf("cell %d rep %d direct run: %v", c, rep, err)
 			}
-			if got.Err != nil || want.Err != nil {
-				t.Fatalf("cell %d rep %d errored: %v / %v", c, rep, got.Err, want.Err)
-			}
-			if got.Value != want.Value || got.FirstRound != want.FirstRound ||
-				got.LastRound != want.LastRound || got.Ops != want.Ops || got.SimTime != want.SimTime {
-				t.Fatalf("cell %d rep %d diverged:\n  batched  %+v\n  streamed %+v", c, rep, got, want)
-			}
+			loop[c] = append(loop[c], r)
+			want.Proposals++
+			want.Decided[r.Value]++
+			want.Ops += r.Ops
+			want.RoundSum += int64(r.FirstRound)
+			want.MaxRound = max(want.MaxRound, r.LastRound)
 		}
 	}
 
-	// Aggregate identity: the two arenas saw the same workload, so their
-	// totals must agree (per-shard splits differ by placement policy).
-	tc, ts := ac.Stats().Totals, as.Stats().Totals
-	if tc != ts {
-		t.Fatalf("stats totals diverged:\n  batched  %+v\n  streamed %+v", tc, ts)
-	}
+	for _, shape := range [][2]int{{3, 2}, {5, 1}} {
+		reg := metrics.NewRegistry()
+		m := arena.NewMetrics(reg, "path", "cell")
+		a, err := arena.New(arena.Config{Shards: shape[0], Workers: shape[1], Metrics: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinks := make([]*recordingSink, cells)
+		next := 0
+		err = a.RunCells(context.Background(), cells,
+			func(c int) arena.CellRequest {
+				sinks[c] = &recordingSink{}
+				cr := gen(c)
+				cr.Sink = sinks[c]
+				return cr
+			},
+			func(c int, r arena.CellResult) {
+				if c != next {
+					t.Fatalf("shape %v: delivery out of order: got cell %d, want %d", shape, c, next)
+				}
+				next++
+				if r.Reps != reps || r.Errors != 0 || r.FirstErr != nil {
+					t.Fatalf("shape %v: cell %d result %+v", shape, c, r)
+				}
+				if r.Key != fmt.Sprintf("cell-%02d", c) {
+					t.Fatalf("shape %v: cell %d delivered key %q", shape, c, r.Key)
+				}
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if next != cells {
+			t.Fatalf("shape %v: delivered %d of %d cells", shape, next, cells)
+		}
+		for c := 0; c < cells; c++ {
+			sink := sinks[c]
+			if len(sink.results) != reps {
+				t.Fatalf("shape %v: cell %d folded %d repetitions, want %d", shape, c, len(sink.results), reps)
+			}
+			for rep := 0; rep < reps; rep++ {
+				got, direct := sink.results[rep], loop[c][rep]
+				if sink.n[rep] != 2+c {
+					t.Fatalf("cell %d rep %d folded with n=%d, want %d", c, rep, sink.n[rep], 2+c)
+				}
+				if got.Err != nil {
+					t.Fatalf("shape %v: cell %d rep %d errored: %v", shape, c, rep, got.Err)
+				}
+				if got.Value != direct.Value || got.FirstRound != direct.FirstRound ||
+					got.LastRound != direct.LastRound || got.Ops != direct.Ops || got.SimTime != direct.SimTime {
+					t.Fatalf("shape %v: cell %d rep %d diverged:\n  cell %+v\n  loop %+v", shape, c, rep, got, direct)
+				}
+			}
+		}
 
-	// Cell-grained metrics: counters fold in bulk but must agree with the
-	// per-instance stats; latency is observed once per cell and the queued
-	// gauge is charged one slot per cell, back to zero after the drain.
-	if got := m.Decided[0].Value() + m.Decided[1].Value(); got != tc.Decided[0]+tc.Decided[1] {
-		t.Errorf("decided counters = %d, stats say %d", got, tc.Decided[0]+tc.Decided[1])
-	}
-	if got := m.Rounds.Value(); got != tc.RoundSum {
-		t.Errorf("rounds counter = %d, stats say %d", got, tc.RoundSum)
-	}
-	if got := m.Ops.Value(); got != tc.Ops {
-		t.Errorf("ops counter = %d, stats say %d", got, tc.Ops)
-	}
-	if got := m.Latency.Count(); got != cells {
-		t.Errorf("latency histogram holds %d observations, want one per cell (%d)", got, cells)
-	}
-	if got := m.Queued.Value(); got != 0 {
-		t.Errorf("queued gauge = %d after drain, want 0", got)
+		// Aggregate identity: the shards total exactly the loop's counters
+		// (per-shard splits follow placement).
+		st := a.Stats().Totals
+		if st != want {
+			t.Fatalf("shape %v: stats totals diverged:\n  cells %+v\n  loop  %+v", shape, st, want)
+		}
+
+		// Metrics: counters fold in bulk per cell but must agree with the
+		// stats; latency is observed once per repetition and the queued
+		// gauge is charged one slot per cell, back to zero after the drain.
+		if got := m.Decided[0].Value() + m.Decided[1].Value(); got != st.Decided[0]+st.Decided[1] {
+			t.Errorf("decided counters = %d, stats say %d", got, st.Decided[0]+st.Decided[1])
+		}
+		if got := m.Rounds.Value(); got != st.RoundSum {
+			t.Errorf("rounds counter = %d, stats say %d", got, st.RoundSum)
+		}
+		if got := m.Ops.Value(); got != st.Ops {
+			t.Errorf("ops counter = %d, stats say %d", got, st.Ops)
+		}
+		if got := m.Latency.Count(); got != cells*reps {
+			t.Errorf("latency histogram holds %d observations, want one per repetition (%d)", got, cells*reps)
+		}
+		if got := m.Queued.Value(); got != 0 {
+			t.Errorf("queued gauge = %d after drain, want 0", got)
+		}
 	}
 }
 
@@ -218,47 +243,62 @@ func TestSubmitCellValidation(t *testing.T) {
 	}
 }
 
-// TestCellOnTracedArena pins the trace interaction: a cell served on a
-// traced arena records nothing (the recorder is disarmed for the batch),
-// and the recorder is re-armed afterwards so streamed instances on the
-// same worker still capture.
+// TestCellOnTracedArena pins the trace interaction: every repetition of
+// a cell served on a traced arena is offered to the capture set under
+// "<key>,rep=<i>" with its own seed, and a later Submit on the same
+// worker is still captured.
 func TestCellOnTracedArena(t *testing.T) {
-	a, err := arena.New(arena.Config{Shards: 1, Workers: 1, Trace: &arena.TraceConfig{PerShard: 4}})
+	const reps = 30
+	a, err := arena.New(arena.Config{Shards: 1, Workers: 1, Trace: &arena.TraceConfig{PerShard: reps + 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := &recordingSink{}
 	_, err = a.RunCell(context.Background(), arena.CellRequest{
-		Key: "batched", N: 4, Noise: dist.Exponential{MeanVal: 1}, Reps: 30,
+		Key: "batched", N: 4, Noise: dist.Exponential{MeanVal: 1}, Reps: reps,
 		Seed: func(rep int) uint64 { return uint64(rep + 1) },
 		Sink: sink,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.SubmitWait(context.Background(), arena.SpecRequest{
-		Spec: engine.Spec{Key: "streamed", N: 4, Noise: dist.Exponential{MeanVal: 1}, Seed: 9},
-	})
+	res, err := a.Propose(context.Background(), "submitted", 1)
 	if err != nil || res.Err != nil {
-		t.Fatalf("streamed instance after cell: %v / %v", err, res.Err)
+		t.Fatalf("Submit after cell: %v / %v", err, res.Err)
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
 	traces := a.Traces()
+	if len(traces) != reps+1 {
+		t.Fatalf("captured %d instances, want %d cell repetitions and one Submit", len(traces), reps+1)
+	}
+	seen := make(map[string]bool)
 	for _, inst := range traces {
-		if inst.Key == "batched" {
-			t.Fatalf("cell repetitions leaked into the trace set: %+v", traces)
+		seen[inst.Key] = true
+		if len(inst.Events) == 0 {
+			t.Fatalf("capture %q has no events", inst.Key)
+		}
+		var rep int
+		if _, err := fmt.Sscanf(inst.Key, "batched,rep=%d", &rep); err == nil {
+			if inst.Seed != uint64(rep+1) || inst.LastRound != sink.results[rep].LastRound {
+				t.Fatalf("capture %q does not describe repetition %d: %+v", inst.Key, rep, inst)
+			}
 		}
 	}
-	if len(traces) != 1 || traces[0].Key != "streamed" {
-		t.Fatalf("streamed instance not captured after a cell: %+v", traces)
+	for rep := 0; rep < reps; rep++ {
+		if !seen[fmt.Sprintf("batched,rep=%d", rep)] {
+			t.Fatalf("repetition %d not captured: %v", rep, seen)
+		}
+	}
+	if !seen["submitted"] {
+		t.Fatalf("Submit after a cell not captured: %v", seen)
 	}
 }
 
-// TestRunCellsCancelDrains mirrors the RunSpecs cancellation contract at
-// cell granularity: submission stops, already-submitted cells complete
-// and deliver in order, and the arena stays usable.
+// TestRunCellsCancelDrains checks the cancellation contract at cell
+// granularity: submission stops, already-submitted cells complete and
+// deliver in order, and the arena stays usable.
 func TestRunCellsCancelDrains(t *testing.T) {
 	a, err := arena.New(arena.Config{Shards: 2, Workers: 1, QueueDepth: 4})
 	if err != nil {

@@ -22,7 +22,9 @@ type Metrics struct {
 	Rounds *metrics.Counter
 	// Ops sums per-instance operation counts.
 	Ops *metrics.Counter
-	// Latency is the wall-clock submit→decision latency in seconds.
+	// Latency is the wall-clock submit→decision latency in seconds, one
+	// observation per instance (a cell repetition counts from the cell's
+	// enqueue).
 	Latency *metrics.Histogram
 	// Queued tracks requests admitted but not yet served.
 	Queued *metrics.Gauge
@@ -99,17 +101,16 @@ func (w *workerMetrics) record(r Result) {
 	w.latency.Observe(float64(r.Latency) / float64(time.Second))
 }
 
-// recordCell folds one served cell into the worker's stripes in bulk:
-// counters advance by whole-cell totals, the queued gauge returns the
-// cell's single slot (enqueue charged one per request, whatever its
-// Reps), and latency observes the cell once — a cell is one request, so
-// per-request latency is per-cell latency on this path.
-func (w *workerMetrics) recordCell(local ShardStats, latency time.Duration) {
+// recordCell folds one served cell's counters into the worker's stripes
+// in bulk and returns the cell's single queue slot (enqueue charged one
+// per request, whatever its Reps). Latency is not observed here: the cell
+// loop observes it once per repetition, so the histogram counts
+// instances on every path.
+func (w *workerMetrics) recordCell(local ShardStats) {
 	w.queued.Add(-1)
 	w.decided[0].Add(local.Decided[0])
 	w.decided[1].Add(local.Decided[1])
 	w.errors.Add(local.Errors)
 	w.rounds.Add(local.RoundSum)
 	w.ops.Add(local.Ops)
-	w.latency.Observe(float64(latency) / float64(time.Second))
 }

@@ -41,33 +41,10 @@ func TestMetricsMatchStats(t *testing.T) {
 	}
 }
 
-func TestOnServeHook(t *testing.T) {
-	var served atomic.Int64
-	perShard := make([]atomic.Int64, 4)
-	cfg := arena.Config{Shards: 4, Workers: 2, Seed: 7, OnServe: func(r arena.Result) {
-		served.Add(1)
-		perShard[r.Shard].Add(1)
-	}}
-	a, results := runBatch(t, cfg, 300)
-	defer a.Close()
-	if served.Load() != int64(len(results)) {
-		t.Fatalf("OnServe fired %d times for %d instances", served.Load(), len(results))
-	}
-	st := a.Stats()
-	for i := range perShard {
-		if got := perShard[i].Load(); got != st.PerShard[i].Proposals {
-			t.Errorf("shard %d: OnServe saw %d, stats say %d", i, got, st.PerShard[i].Proposals)
-		}
-	}
-}
-
 func TestQueueIntrospection(t *testing.T) {
 	a, err := arena.New(arena.Config{Shards: 2, Workers: 1, QueueDepth: 32})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := a.QueueCap(); got != 64 {
-		t.Fatalf("QueueCap = %d, want 64", got)
 	}
 	if got := a.QueueDepth(); got != 0 {
 		t.Fatalf("QueueDepth on idle arena = %d, want 0", got)

@@ -136,22 +136,27 @@ func TestArenaTraceKeepsViolations(t *testing.T) {
 		t.Fatal(err)
 	}
 	// msgnet rejects adversarial schedules with the engine's typed error:
-	// a guaranteed violating instance.
-	res, _ := a.SubmitWait(context.Background(), SpecRequest{
-		Model: msgnetModel,
-		Spec:  engine.Spec{Key: "bad", N: 4, Seed: 1, Adversary: adv},
+	// a guaranteed violating one-rep cell.
+	res, err := a.RunCell(context.Background(), CellRequest{
+		Model: msgnetModel, Key: "bad", N: 4, Adversary: adv, Reps: 1,
+		Seed: func(int) uint64 { return 1 }, Sink: discardSink{},
 	})
-	if res.Err == nil {
-		t.Fatal("expected the adversarial msgnet instance to fail")
+	if err != nil || res.FirstErr == nil {
+		t.Fatalf("expected the adversarial msgnet instance to fail: %v / %+v", err, res)
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
 	traces := a.Traces()
-	if len(traces) == 0 || traces[0].Err == "" || traces[0].Key != "bad" {
+	if len(traces) == 0 || traces[0].Err == "" || traces[0].Key != "bad,rep=0" {
 		t.Fatalf("violating instance not ranked first: %+v", traces)
 	}
 }
+
+// discardSink drops every repetition.
+type discardSink struct{}
+
+func (discardSink) Add(int, Result) {}
 
 // TestTraceKeeperBudget unit-tests the top-K insert: ranks hold under
 // arbitrary offer order and the budget is never exceeded.

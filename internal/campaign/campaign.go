@@ -3,11 +3,9 @@
 // (internal/harness's fig1.go, ablation.go, ...), a campaign is a
 // declarative spec — a cartesian grid over registered execution models,
 // noise distributions, process counts, and seeds, with a fixed number of
-// repetitions per grid cell — that compiles to explicit work units and
-// executes through the sharded arena's worker pools: one work unit per
-// cell by default (the batched path, zero-allocation in steady state),
-// or one per instance when a per-instance observer needs the stream
-// (see Execution).
+// repetitions per grid cell — that compiles to one arena cell
+// (arena.CellRequest) per grid cell and executes through the sharded
+// arena's worker pools, zero-allocation in steady state.
 //
 // Three properties make campaigns production-shaped:
 //
@@ -15,18 +13,16 @@
 //     with the same mix the harness's Figure 1 reproduction uses
 //     (InstanceSeed), and inputs follow the paper's half-and-half
 //     assignment, so a campaign cell reproduces the corresponding harness
-//     experiment number for number. Results are folded in repetition
-//     order on both execution paths — the batched default hands whole
-//     cells to arena.RunCells, whose serving worker folds repetitions as
-//     it runs them; the streamed path folds arena.RunSpecs's
-//     submission-order deliveries — so reports are byte-identical across
-//     runs, worker counts, execution modes, and interrupt/resume
+//     experiment number for number. arena.RunCells hands whole cells to
+//     workers, which fold repetitions in repetition order as they run
+//     them, and delivers completions in grid order, so reports are
+//     byte-identical across runs, pool shapes, and interrupt/resume
 //     boundaries.
 //
 //   - Streaming aggregation. Each cell folds into a fixed-size
 //     stats.Summary pair (rounds, ops per process) plus integer counters;
-//     memory is O(cells + submission window), never O(instances), so a
-//     million-instance campaign runs in a few megabytes.
+//     memory is O(cells), never O(instances), so a million-instance
+//     campaign runs in a few megabytes.
 //
 //   - Checkpoint/resume. With a checkpoint path configured, the runner
 //     atomically rewrites a JSON manifest after every completed cell,
@@ -344,33 +340,6 @@ func (c *CellStats) Add(n int, r arena.Result) {
 	c.OpsPerProc.Add(float64(r.Ops) / float64(n))
 }
 
-// Execution selects how Campaign.Run drives its cells through the
-// arena. The mode affects only wall-clock speed and callback
-// granularity — report, checkpoint, and trace bytes are pure functions
-// of the spec either way (TestBatchedMatchesStreamed pins batched
-// against streamed byte for byte).
-type Execution int
-
-const (
-	// ExecAuto (the zero value) picks ExecBatched unless a per-instance
-	// observer demands streaming: OnInstance needs a callback per
-	// repetition, and Trace needs the arena's per-instance flight
-	// recorder, so either selects ExecStreamed.
-	ExecAuto Execution = iota
-	// ExecStreamed pipelines every repetition through the arena
-	// individually (arena.RunSpecs) — one request, one queue hop, one
-	// result delivery per repetition.
-	ExecStreamed
-	// ExecBatched routes each cell to the arena in one piece
-	// (arena.RunCells): a single worker runs the cell's repetitions as
-	// one tight loop over its pooled session, folding directly into the
-	// cell aggregate with zero steady-state allocations. Incompatible
-	// with OnInstance and Trace, which have nothing to observe on the
-	// batched path; Run rejects the combination rather than silently
-	// degrading either side.
-	ExecBatched
-)
-
 // Config carries the runtime knobs of Campaign.Run — everything that is
 // not part of the campaign's identity (and therefore not hashed).
 type Config struct {
@@ -391,21 +360,13 @@ type Config struct {
 	// OnCell, when non-nil, is called serially after each cell completes
 	// (including, once at startup, for cells restored from a checkpoint).
 	OnCell func(Progress)
-	// Execution selects streamed or batched cell execution (default
-	// ExecAuto: batched unless OnInstance or Trace demands streaming).
-	Execution Execution
-	// OnInstance, when non-nil, is called serially after each executed
-	// repetition — a per-instance observer. Setting it forces (under
-	// ExecAuto) or requires (under ExecStreamed) the streamed path;
-	// coarser consumers — admission controllers returning reserved
-	// capacity, progress displays — should prefer OnCell deltas, which
-	// keep the batched path available. Restored cells do not replay it.
-	OnInstance func()
 	// Trace, when non-nil, arms the private arena's flight recorder and
 	// attaches the capture set to Report.Trace (see arena.TraceConfig).
-	// Captures cover only cells executed by this process — cells restored
-	// from a checkpoint were traced, if at all, by the run that executed
-	// them.
+	// Repetition rep of a cell is captured as "<cell key>,rep=<rep>"; the
+	// per-shard budget ranks the repetitions of the cells each shard
+	// served. Captures cover only cells executed by this process — cells
+	// restored from a checkpoint were traced, if at all, by the run that
+	// executed them.
 	Trace *arena.TraceConfig
 	// Journal, when non-nil, receives the campaign's lifecycle events —
 	// campaign.cell.done per completed cell (carrying the cell's full
@@ -452,37 +413,20 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Report, error) {
 }
 
 // Run executes every cell of the campaign through a private arena and
-// returns the deterministic report. Cells run in grid order; each cell's
-// repetitions are pipelined through the arena's shards with a bounded
-// window and folded in repetition order. On ctx cancellation Run stops
-// cleanly — in-flight repetitions drain, the manifest keeps every
-// completed cell — and returns ctx.Err(); resuming later continues from
-// the last completed cell.
+// returns the deterministic report. Each pending cell is one
+// arena.CellRequest whose sink is the cell's CellStats: a worker runs the
+// cell's repetitions as one tight loop over its pooled session and folds
+// them in repetition order. Cells pipeline across shards concurrently,
+// but completions — checkpoints, metrics, OnCell — are delivered in grid
+// order. On ctx cancellation Run stops cleanly — in-flight cells drain
+// unreported, the manifest keeps every completed cell — and returns
+// ctx.Err(); resuming later re-executes only the missing cells.
 func (c *Campaign) Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = arena.DefaultShards
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = arena.DefaultWorkers
-	}
-	exec := cfg.Execution
-	switch exec {
-	case ExecAuto:
-		if cfg.OnInstance != nil || cfg.Trace != nil {
-			exec = ExecStreamed
-		} else {
-			exec = ExecBatched
-		}
-	case ExecStreamed:
-	case ExecBatched:
-		if cfg.OnInstance != nil {
-			return nil, fmt.Errorf("campaign: batched execution has no per-instance callbacks; drop OnInstance or use streamed execution")
-		}
-		if cfg.Trace != nil {
-			return nil, fmt.Errorf("campaign: batched execution does not capture traces; drop Trace or use streamed execution")
-		}
-	default:
-		return nil, fmt.Errorf("campaign: unknown execution mode %d", cfg.Execution)
 	}
 
 	done := make(map[string]*CellStats)
@@ -497,11 +441,14 @@ func (c *Campaign) Run(ctx context.Context, cfg Config) (*Report, error) {
 	results := make([]*CellStats, len(c.Cells))
 	cellsDone := 0
 	instancesDone := int64(0)
+	var pending []int
 	for i := range c.Cells {
 		if cs, ok := done[c.Cells[i].Key]; ok {
 			results[i] = cs
 			cellsDone++
 			instancesDone += cs.Reps
+		} else {
+			pending = append(pending, i)
 		}
 	}
 	if cellsDone > 0 {
@@ -524,11 +471,9 @@ func (c *Campaign) Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	defer a.Close()
 
-	// complete folds one executed cell into the campaign state: the
-	// shared tail of both execution paths, called in grid order either
-	// way, so manifests and callbacks are indistinguishable across modes.
-	// latency is the cell's wall-clock execution time — observability
-	// only; nothing deterministic depends on it.
+	// complete folds one executed cell into the campaign state, in grid
+	// order. latency is the cell's wall-clock execution time —
+	// observability only; nothing deterministic depends on it.
 	complete := func(i int, cs *CellStats, latency time.Duration) error {
 		results[i] = cs
 		cellsDone++
@@ -563,93 +508,17 @@ func (c *Campaign) Run(ctx context.Context, cfg Config) (*Report, error) {
 		return nil
 	}
 
-	if exec == ExecBatched {
-		if err := c.runBatched(ctx, a, results, complete); err != nil {
-			return nil, err
-		}
-	} else if err := c.runStreamed(ctx, cfg, a, results, complete); err != nil {
-		return nil, err
-	}
-	rep := c.buildReport(results)
-	if cfg.Trace != nil {
-		rep.Trace = a.Traces()
-	}
-	return rep, nil
-}
-
-// runStreamed executes every pending cell one repetition at a time
-// through arena.RunSpecs — the per-instance path, kept for workloads
-// that need per-repetition observation (OnInstance, tracing).
-func (c *Campaign) runStreamed(ctx context.Context, cfg Config, a *arena.Arena, results []*CellStats, complete func(int, *CellStats, time.Duration) error) error {
-	for i := range c.Cells {
-		if results[i] != nil {
-			continue
-		}
-		cell := &c.Cells[i]
-		job := cell.Job
-		cs := &CellStats{}
-		start := time.Now()
-		err := a.RunSpecs(ctx, job.Instances,
-			func(rep int) arena.SpecRequest {
-				return arena.SpecRequest{
-					Model: job.Model,
-					Spec: engine.Spec{
-						Key:       fmt.Sprintf("%s,rep=%d", cell.Key, rep),
-						N:         job.N,
-						Noise:     job.Noise,
-						Adversary: job.Adversary,
-						Seed:      InstanceSeed(job.Seed, job.N, rep),
-					},
-				}
-			},
-			func(rep int, r arena.Result) {
-				cs.Add(job.N, r)
-				if cfg.OnInstance != nil {
-					cfg.OnInstance()
-				}
-			})
-		if err != nil {
-			return err
-		}
-		if err := complete(i, cs, time.Since(start)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runBatched executes every pending cell in one piece through
-// arena.RunCells: each cell is a single request whose repetitions run as
-// one tight loop over a worker's pooled session, folding into the cell
-// aggregate on the worker. Cells pipeline across shards concurrently,
-// but completions are delivered in grid order, so checkpoints, metrics,
-// and OnCell fire exactly as the streamed path fires them — same order,
-// same bytes. A worker folds repetitions in repetition order, so every
-// aggregate is bit-identical to the streamed fold.
-func (c *Campaign) runBatched(ctx context.Context, a *arena.Arena, results []*CellStats, complete func(int, *CellStats, time.Duration) error) error {
-	var pending []int
-	for i := range c.Cells {
-		if results[i] == nil {
-			pending = append(pending, i)
-		}
-	}
-	if len(pending) == 0 {
-		return nil
-	}
 	sinks := make([]*CellStats, len(pending))
-	for k := range sinks {
-		sinks[k] = &CellStats{}
-	}
 	// A completion failure (checkpoint write) cancels submission; cells
-	// already in flight drain — their sinks simply go unreported, exactly
-	// like a streamed run abandoned mid-cell.
+	// already in flight drain and their sinks simply go unreported.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var completeErr error
-	err := a.RunCells(runCtx, len(pending),
+	err = a.RunCells(runCtx, len(pending),
 		func(k int) arena.CellRequest {
 			cell := &c.Cells[pending[k]]
 			job := cell.Job
+			sinks[k] = &CellStats{}
 			return arena.CellRequest{
 				Model:     job.Model,
 				Key:       cell.Key,
@@ -663,11 +532,11 @@ func (c *Campaign) runBatched(ctx context.Context, a *arena.Arena, results []*Ce
 		},
 		func(k int, r arena.CellResult) {
 			if completeErr == nil {
-				// Batched submission races ahead of completion, so by the
-				// time a caller cancels (often from OnCell) every cell may
-				// already be in flight. Matching streamed semantics, a
-				// cancelled campaign completes no further cells: in-flight
-				// work drains unreported and resume re-executes it.
+				// Submission races ahead of completion, so by the time a
+				// caller cancels (often from OnCell) every cell may
+				// already be in flight. A cancelled campaign completes no
+				// further cells: in-flight work drains unreported and
+				// resume re-executes it.
 				completeErr = ctx.Err()
 			}
 			if completeErr != nil {
@@ -679,7 +548,14 @@ func (c *Campaign) runBatched(ctx context.Context, a *arena.Arena, results []*Ce
 			}
 		})
 	if completeErr != nil {
-		return completeErr
+		return nil, completeErr
 	}
-	return err
+	if err != nil {
+		return nil, err
+	}
+	rep := c.buildReport(results)
+	if cfg.Trace != nil {
+		rep.Trace = a.Traces()
+	}
+	return rep, nil
 }

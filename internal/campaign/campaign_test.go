@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"leanconsensus/internal/arena"
 	"leanconsensus/internal/campaign"
 	"leanconsensus/internal/harness"
 	"leanconsensus/internal/metrics"
@@ -77,144 +76,6 @@ func TestFig1CampaignMatchesHarness(t *testing.T) {
 		}
 		if c.Decided0+c.Decided1 != c.Reps {
 			t.Fatalf("cell %s/%d decided %d of %d", c.Dist, c.N, c.Decided0+c.Decided1, c.Reps)
-		}
-	}
-}
-
-// TestBatchedMatchesStreamed is the execution-mode identity the
-// Execution doc promises: the same spec run ExecStreamed and ExecBatched
-// (across different pool shapes, with and without an adversary axis)
-// produces byte-identical JSON and CSV reports.
-func TestBatchedMatchesStreamed(t *testing.T) {
-	ctx := context.Background()
-	specs := map[string]campaign.Spec{
-		"micro": microSpec(),
-		"adversarial": {
-			Name:        "adv",
-			Models:      []string{"sched"},
-			Dists:       []string{"exponential"},
-			Adversaries: []string{"none", "antileader:m=2"},
-			Ns:          []int{4, 8},
-			Seeds:       []uint64{3},
-			Reps:        10,
-		},
-	}
-	for name, spec := range specs {
-		streamed, err := campaign.Run(ctx, spec, campaign.Config{
-			Shards: 2, Workers: 2, Execution: campaign.ExecStreamed,
-		})
-		if err != nil {
-			t.Fatalf("%s streamed: %v", name, err)
-		}
-		batched, err := campaign.Run(ctx, spec, campaign.Config{
-			Shards: 5, Workers: 1, Execution: campaign.ExecBatched,
-		})
-		if err != nil {
-			t.Fatalf("%s batched: %v", name, err)
-		}
-		sj, err := streamed.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		bj, err := batched.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sj, bj) {
-			t.Fatalf("%s: batched JSON differs from streamed:\n%s\nvs\n%s", name, bj, sj)
-		}
-		if streamed.CSV() != batched.CSV() {
-			t.Fatalf("%s: batched CSV differs from streamed", name)
-		}
-	}
-}
-
-// TestExecutionModeResolution covers the mode plumbing: auto picks
-// batched unless a per-instance observer is set, explicit batched
-// rejects per-instance observers, and unknown modes are errors.
-func TestExecutionModeResolution(t *testing.T) {
-	ctx := context.Background()
-	spec := campaign.Spec{Dists: []string{"exponential"}, Ns: []int{4}, Reps: 2}
-
-	// Auto + OnInstance streams: the callback must fire per repetition.
-	executed := 0
-	if _, err := campaign.Run(ctx, spec, campaign.Config{
-		OnInstance: func() { executed++ },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if executed != 2 {
-		t.Fatalf("auto+OnInstance executed %d callbacks, want 2", executed)
-	}
-
-	// Explicit batched + OnInstance / + Trace are contradictions.
-	if _, err := campaign.Run(ctx, spec, campaign.Config{
-		Execution: campaign.ExecBatched, OnInstance: func() {},
-	}); err == nil || !strings.Contains(err.Error(), "OnInstance") {
-		t.Fatalf("batched+OnInstance: err = %v, want rejection", err)
-	}
-	if _, err := campaign.Run(ctx, spec, campaign.Config{
-		Execution: campaign.ExecBatched, Trace: &arena.TraceConfig{PerShard: 1},
-	}); err == nil || !strings.Contains(err.Error(), "Trace") {
-		t.Fatalf("batched+Trace: err = %v, want rejection", err)
-	}
-
-	// Unknown mode.
-	if _, err := campaign.Run(ctx, spec, campaign.Config{Execution: campaign.Execution(99)}); err == nil ||
-		!strings.Contains(err.Error(), "unknown execution mode") {
-		t.Fatalf("unknown mode: err = %v, want rejection", err)
-	}
-}
-
-// TestBatchedResumesStreamedCheckpoint crosses execution modes over a
-// checkpoint boundary: a campaign interrupted on the streamed path and
-// resumed on the batched path (and vice versa) still emits the
-// uninterrupted run's exact bytes — the manifest is mode-agnostic.
-func TestBatchedResumesStreamedCheckpoint(t *testing.T) {
-	ctx := context.Background()
-	spec := microSpec()
-	full, err := campaign.Run(ctx, spec, campaign.Config{Shards: 2, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullJSON, err := full.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	modes := []struct {
-		name          string
-		first, second campaign.Execution
-	}{
-		{"streamed-then-batched", campaign.ExecStreamed, campaign.ExecBatched},
-		{"batched-then-streamed", campaign.ExecBatched, campaign.ExecStreamed},
-	}
-	for _, m := range modes {
-		ckpt := filepath.Join(t.TempDir(), "sweep.ckpt.json")
-		cctx, cancel := context.WithCancel(ctx)
-		_, err = campaign.Run(cctx, spec, campaign.Config{
-			Shards: 2, Workers: 1, Checkpoint: ckpt, Execution: m.first,
-			OnCell: func(p campaign.Progress) {
-				if p.CellsDone == 3 {
-					cancel()
-				}
-			},
-		})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: interrupted run returned %v, want context.Canceled", m.name, err)
-		}
-		resumed, err := campaign.Run(ctx, spec, campaign.Config{
-			Shards: 4, Workers: 2, Checkpoint: ckpt, Resume: true, Execution: m.second,
-		})
-		if err != nil {
-			t.Fatalf("%s: resume: %v", m.name, err)
-		}
-		resumedJSON, err := resumed.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(resumedJSON, fullJSON) {
-			t.Fatalf("%s: resumed report differs from uninterrupted run", m.name)
 		}
 	}
 }
@@ -292,10 +153,12 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	restored := -1
 	resumed, err := campaign.Run(ctx, spec, campaign.Config{
 		Shards: 4, Workers: 1, Checkpoint: ckpt, Resume: true,
-		OnInstance: func() { executed++ },
 		OnCell: func(p campaign.Progress) {
 			if restored < 0 {
 				restored = p.CellsDone
+			}
+			if p.CellKey != "" {
+				executed++
 			}
 		},
 	})
@@ -305,8 +168,8 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if restored < 3 {
 		t.Fatalf("resume restored %d cells, want >= 3", restored)
 	}
-	if want := (8 - restored) * spec.Reps; executed != want {
-		t.Fatalf("resume executed %d instances, want %d (restored %d cells)", executed, want, restored)
+	if want := 8 - restored; executed != want {
+		t.Fatalf("resume executed %d cells, want %d (restored %d cells)", executed, want, restored)
 	}
 
 	// ... and emit the exact baseline bytes.
@@ -339,13 +202,18 @@ func TestCheckpointRefusesWithoutResume(t *testing.T) {
 	// reports everything.
 	executed := 0
 	rep, err := campaign.Run(ctx, spec, campaign.Config{
-		Checkpoint: ckpt, Resume: true, OnInstance: func() { executed++ },
+		Checkpoint: ckpt, Resume: true,
+		OnCell: func(p campaign.Progress) {
+			if p.CellKey != "" {
+				executed++
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if executed != 0 {
-		t.Fatalf("resume of a finished campaign executed %d instances", executed)
+		t.Fatalf("resume of a finished campaign executed %d cells", executed)
 	}
 	if len(rep.Cells) != 1 || rep.Cells[0].Reps != 2 {
 		t.Fatalf("resume of a finished campaign lost results: %+v", rep.Cells)

@@ -132,37 +132,33 @@ func TestJournalResumeEvent(t *testing.T) {
 
 // TestJournalDoesNotAffectReport pins the byte-identity acceptance
 // criterion: a journaled run's report is byte-for-byte the silent run's
-// report, on both execution paths.
+// report.
 func TestJournalDoesNotAffectReport(t *testing.T) {
-	for _, exec := range []Execution{ExecBatched, ExecStreamed} {
-		c, err := journalSpec().Resolve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		silent, err := c.Run(context.Background(), Config{Execution: exec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		j := obslog.New(16) // small ring: wrapping must not matter either
-		journaled, err := c.Run(context.Background(), Config{
-			Execution: exec, Journal: j, Correlation: "c-000001",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j.Seq() == 0 {
-			t.Fatal("journal saw no events")
-		}
-		sb, err := silent.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		jb, err := journaled.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sb, jb) {
-			t.Fatalf("exec %d: journaled report differs from silent report", exec)
-		}
+	c, err := journalSpec().Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent, err := c.Run(context.Background(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := obslog.New(16) // small ring: wrapping must not matter either
+	journaled, err := c.Run(context.Background(), Config{Journal: j, Correlation: "c-000001"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Seq() == 0 {
+		t.Fatal("journal saw no events")
+	}
+	sb, err := silent.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := journaled.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sb, jb) {
+		t.Fatal("journaled report differs from silent report")
 	}
 }

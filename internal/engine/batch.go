@@ -3,12 +3,13 @@ package engine
 // RunBatch executes reps repetitions of one spec template through a
 // single session, reseeding the spec in place: repetition rep runs with
 // spec.Seed = seed(rep) and everything else — key, N, inputs, noise,
-// adversary — held fixed. Results are delivered to fn in repetition
+// adversary — held fixed. seed(rep) is called immediately before
+// repetition rep runs, and results are delivered to fn in repetition
 // order on the caller's goroutine.
 //
-// This is the cell-batched hot path: where the streamed arena path pays
-// a request materialization, a queue hop, and a result-channel hop per
-// repetition, RunBatch pays them zero times — the whole batch is one
+// This is the cell-batched hot path: where a per-instance arena Submit
+// pays a request materialization, a queue hop, and a result-channel hop
+// per repetition, RunBatch pays them zero times — the whole batch is one
 // tight loop over the pooled session, so steady-state repetitions
 // allocate nothing (TestRunBatchZeroAllocs pins this down). Outcomes
 // are bit-identical to running the same seeds one at a time: the

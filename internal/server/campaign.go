@@ -201,8 +201,8 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 // queued-instance reservation: each completed cell returns its
 // repetitions to the admission gate in one delta, and whatever an
 // aborted campaign never ran is returned in one piece at the end.
-// Accounting is deliberately cell-grained — a per-instance hook would
-// force the runner onto the streamed path, and admission only ever
+// Accounting is deliberately cell-grained — OnCell deltas are the
+// campaign runner's only progress feed, and admission only ever
 // compares the queued gauge against the high-water mark, so cell-sized
 // returns cost nothing but a little granularity.
 func (s *Server) runCampaign(cr *campaignRun) {

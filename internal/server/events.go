@@ -228,16 +228,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "server: response writer cannot stream")
 		return
 	}
+	// Subscribe before the headers go out: a client that acts on the 200
+	// (submits a job, say) must see every event its action causes.
+	sub := s.journal.Subscribe()
+	defer sub.Unsubscribe()
+	pos := s.journal.Seq() // firehose semantics: from now on
+
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	h.Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
-
-	sub := s.journal.Subscribe()
-	defer sub.Unsubscribe()
-	pos := s.journal.Seq() // firehose semantics: from now on
 
 	// Catch-up: an explicit ?since= on the SSE path replays the gap
 	// (store + ring) before going live, so a reconnecting client misses

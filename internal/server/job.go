@@ -1,16 +1,17 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"leanconsensus/internal/arena"
+	"leanconsensus/internal/campaign"
 	"leanconsensus/internal/engine"
 	"leanconsensus/internal/obslog"
 	"leanconsensus/internal/trace"
-	"leanconsensus/internal/xrand"
 )
 
 // jobState is a job's lifecycle position.
@@ -38,8 +39,8 @@ func (s jobState) name() string {
 }
 
 // specRun is one spec's execution state inside a job. Progress fields
-// are atomics written from arena workers (via OnServe) and read by
-// status snapshots and the SSE stream without locks.
+// are atomics written from arena workers (by the cells' progress sink)
+// and read by status snapshots and the SSE stream without locks.
 type specRun struct {
 	spec   engine.JobSpec
 	job    engine.Job
@@ -232,41 +233,68 @@ func (s *Server) saveJobTerminal(j *job, status string) {
 	})
 }
 
-// runSpec serves one spec on a fresh arena and folds the results into
-// its SpecResult. The workload derivation — keys "key-%08d", proposal
-// bits from the seed's "load" stream — matches cmd/leanarena exactly, so
-// a job replays byte-identically against the CLI's deterministic report.
+// runSpec serves one spec on a fresh arena as the one-cell campaign with
+// the same model, dist, adversary, n, seed, and reps = instances: rep r
+// runs with seed campaign.InstanceSeed(seed, n, r) on the half-and-half
+// inputs. The reps are split into min(instances, shards×workers) cells
+// over contiguous ranges so every worker takes a share. The split
+// follows the pool shape, but the result cannot: every deterministic
+// SpecResult field is an integer sum or max over the reps, read from the
+// arena's shard stats once the cells drain.
 func (s *Server) runSpec(j *job, sr *specRun) error {
 	jb := sr.job
-	am := arena.NewMetrics(s.reg, "model", jb.ModelName, "dist", jb.DistName, "adversary", jb.AdvName)
 	var tc *arena.TraceConfig
 	if sr.traceK > 0 {
 		tc = &arena.TraceConfig{PerShard: sr.traceK}
 	}
 	a, err := arena.New(arena.Config{
-		Trace:     tc,
-		Shards:    s.cfg.Shards,
-		Workers:   s.cfg.Workers,
-		N:         jb.N,
-		Noise:     jb.Noise,
-		Model:     jb.Model,
-		Adversary: jb.Adversary,
-		Seed:      jb.Seed,
-		Metrics:   am,
-		Journal:   s.journal,
-		Owner:     j.id,
-		OnServe: func(r arena.Result) {
-			if r.Shard >= 0 && r.Shard < len(sr.perShard) {
-				sr.perShard[r.Shard].Add(1)
-			}
-			sr.done.Add(1)
-		},
+		Trace:   tc,
+		Shards:  s.cfg.Shards,
+		Workers: s.cfg.Workers,
+		Metrics: arena.NewMetrics(s.reg, "model", jb.ModelName, "dist", jb.DistName, "adversary", jb.AdvName),
+		Journal: s.journal,
+		Owner:   j.id,
 	})
 	if err != nil {
 		s.release(j.tb, int64(jb.Instances))
 		return fmt.Errorf("server: job spec (model=%s): %v", jb.ModelName, err)
 	}
 
+	// Cell keys name trace captures ("<key>,rep=<rep>"), so they come from
+	// the spec and the rep range alone: identical jobs capture identically.
+	key := fmt.Sprintf("model=%s,dist=%s,adv=%s,n=%d,seed=%d", jb.ModelName, jb.DistName, jb.AdvName, jb.N, jb.Seed)
+	chunks := min(jb.Instances, s.cfg.Shards*s.cfg.Workers)
+	sink := progressSink{s: s, j: j, sr: sr}
+	start := time.Now()
+	// A started spec always runs to completion: Close drains jobs, it
+	// never cancels them.
+	err = a.RunCells(context.Background(), chunks, func(c int) arena.CellRequest {
+		lo, hi := c*jb.Instances/chunks, (c+1)*jb.Instances/chunks
+		return arena.CellRequest{
+			Model:     jb.Model,
+			Key:       fmt.Sprintf("%s,from=%d", key, lo),
+			N:         jb.N,
+			Noise:     jb.Noise,
+			Adversary: jb.Adversary,
+			Reps:      hi - lo,
+			Seed:      func(rep int) uint64 { return campaign.InstanceSeed(jb.Seed, jb.N, lo+rep) },
+			Sink:      sink,
+		}
+	}, func(int, arena.CellResult) {})
+	elapsed := time.Since(start)
+	if err != nil {
+		// Unreachable while the server owns the arena: RunCells has
+		// drained every submitted cell, so return the never-run
+		// remainder's reservation and surface the fault.
+		s.release(j.tb, int64(jb.Instances)-sr.done.Load())
+		a.Close()
+		return fmt.Errorf("server: submit failed mid-job: %v", err)
+	}
+	if err := a.Close(); err != nil {
+		return err
+	}
+
+	st := a.Stats().Totals
 	res := SpecResult{
 		Model:     jb.ModelName,
 		Variant:   jb.VariantName,
@@ -275,74 +303,13 @@ func (s *Server) runSpec(j *job, sr *specRun) error {
 		N:         jb.N,
 		Seed:      jb.Seed,
 		Instances: jb.Instances,
+		Decided0:  st.Decided[0],
+		Decided1:  st.Decided[1],
+		Errors:    st.Errors,
+		Ops:       st.Ops,
+		RoundSum:  st.RoundSum,
+		MaxRound:  st.MaxRound,
 	}
-	fold := func(r arena.Result) {
-		if r.Err != nil {
-			res.Errors++
-		} else {
-			if r.Value == 0 {
-				res.Decided0++
-			} else {
-				res.Decided1++
-			}
-			res.Ops += r.Ops
-			res.RoundSum += int64(r.FirstRound)
-			if r.LastRound > res.MaxRound {
-				res.MaxRound = r.LastRound
-			}
-		}
-		s.complete(j.tb, 1)
-	}
-
-	// The submission window bounds memory: at most the arena's queue
-	// capacity plus its in-service slots stay outstanding, so a
-	// million-instance spec streams through a fixed-size ring instead of
-	// holding a buffered channel per instance. The window never deadlocks:
-	// result channels are buffered, so workers always make progress while
-	// the runner waits on the ring's oldest entry.
-	window := a.QueueCap() + s.cfg.Shards*s.cfg.Workers
-	if window > jb.Instances {
-		window = jb.Instances
-	}
-	if window < 1 {
-		window = 1
-	}
-	chans := make([]<-chan arena.Result, window)
-
-	start := time.Now()
-	bits := xrand.New(jb.Seed, 0x6c6f6164) // "load", the leanarena stream
-	for i := 0; i < jb.Instances; i++ {
-		if i >= window {
-			fold(<-chans[i%window])
-		}
-		done, err := a.Submit(fmt.Sprintf("key-%08d", i), bits.Intn(2))
-		if err != nil {
-			// Unreachable while the server owns the arena: return the
-			// never-submitted remainder's reservation, drain what is in
-			// flight, and surface the fault. Once the ring has wrapped,
-			// slot i%window was already folded above, so only the window-1
-			// slots after it are outstanding.
-			s.release(j.tb, int64(jb.Instances-i))
-			lo := 0
-			if i >= window {
-				lo = i - window + 1
-			}
-			for k := lo; k < i; k++ {
-				fold(<-chans[k%window])
-			}
-			a.Close()
-			return fmt.Errorf("server: submit failed mid-job: %v", err)
-		}
-		chans[i%window] = done
-	}
-	for k := jb.Instances - window; k < jb.Instances; k++ {
-		fold(<-chans[k%window])
-	}
-	elapsed := time.Since(start)
-	if err := a.Close(); err != nil {
-		return err
-	}
-
 	if decided := res.Decided0 + res.Decided1; decided > 0 {
 		res.MeanFirstRound = float64(res.RoundSum) / float64(decided)
 		res.Throughput = float64(decided) / elapsed.Seconds()
@@ -356,6 +323,22 @@ func (s *Server) runSpec(j *job, sr *specRun) error {
 	}
 	sr.mu.Unlock()
 	return nil
+}
+
+// progressSink publishes a job spec's progress from the serving worker,
+// once per rep: the spec's done count, its per-shard count, and the
+// rep's admission unit. The deterministic counters need no fold here —
+// the arena's shard stats already keep them.
+type progressSink struct {
+	s  *Server
+	j  *job
+	sr *specRun
+}
+
+func (p progressSink) Add(_ int, r arena.Result) {
+	p.sr.perShard[r.Shard].Add(1)
+	p.sr.done.Add(1)
+	p.s.complete(p.j.tb, 1)
 }
 
 // traceSnapshot assembles the GET /v1/jobs/{id}/trace body. Captures are

@@ -6,16 +6,17 @@
 // execution model, noise distribution, instance shape, and seed, and is
 // validated through the engine's model/variant registries and the
 // distribution registry before anything runs (engine.JobSpec.Resolve).
-// Jobs execute asynchronously on per-job arenas sharing the server's
-// pool shape; clients poll GET /v1/jobs/{id}, or subscribe to
+// Jobs execute asynchronously on per-spec arenas sharing the server's
+// pool shape, each spec as arena cells; clients poll GET /v1/jobs/{id},
+// or subscribe to
 // GET /v1/jobs/{id}/stream for per-shard progress as server-sent
 // events. GET /v1/models lists everything the registries know, /healthz
 // reports liveness, and /metrics exposes the internal/metrics registry
 // in Prometheus text format.
 //
-// Backpressure is explicit and two-layered. Inside a job, arena shard
-// queues bound in-flight requests and Submit blocks (the arena's own
-// backpressure). Across jobs, the server tracks admitted-but-unfinished
+// Backpressure is explicit and two-layered. Inside a job, a spec's reps
+// run as at most one cell per arena worker, so in-flight work is bounded
+// by the pool. Across jobs, the server tracks admitted-but-unfinished
 // instances and sheds load once that queue depth crosses the configured
 // high-water mark: the POST is rejected with 429 and a Retry-After
 // estimate instead of being buffered without bound. Shutdown is a

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"leanconsensus"
+	"leanconsensus/internal/campaign"
 	"leanconsensus/internal/server"
 )
 
@@ -169,6 +170,86 @@ func TestDeterministicReplay(t *testing.T) {
 	a.Throughput, b.Throughput = 0, 0
 	if *a != *b {
 		t.Fatalf("replay diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// shardsSpecs are the inputs of the -shards regression tests: a sched
+// spec under an adversary with a non-default dist, and a hybrid spec.
+var shardsSpecs = []leanconsensus.JobSpec{
+	{Model: "sched", Dist: "uniform", Adversary: "antileader:m=2", N: 8, Seed: 42, Instances: 777},
+	{Model: "hybrid", Adversary: "sticky", N: 8, Seed: 5, Instances: 500},
+}
+
+// runSpecs submits specs to a fresh server of the given pool shape and
+// returns each spec's result with the wall-clock fields zeroed.
+func runSpecs(t *testing.T, cfg server.Config, specs ...leanconsensus.JobSpec) []leanconsensus.SpecResult {
+	t.Helper()
+	_, client := newTestServer(t, cfg)
+	ctx := context.Background()
+	id, err := client.SubmitJobs(ctx, specs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := client.WaitJob(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return deterministicResults(t, st)
+}
+
+// deterministicResults extracts a finished job's results with the
+// wall-clock fields zeroed.
+func deterministicResults(t *testing.T, st *leanconsensus.JobStatus) []leanconsensus.SpecResult {
+	t.Helper()
+	if st.Status != leanconsensus.JobDone {
+		t.Fatalf("job finished as %q: %s", st.Status, st.Error)
+	}
+	out := make([]leanconsensus.SpecResult, len(st.Specs))
+	for i, ss := range st.Specs {
+		if ss.Result == nil {
+			t.Fatalf("spec %d has no result", i)
+		}
+		out[i] = *ss.Result
+		out[i].ElapsedMS, out[i].Throughput = 0, 0
+	}
+	return out
+}
+
+// TestJobResultsInvariantAcrossShards is the -shards regression test: a
+// job spec's deterministic result is a pure function of the spec —
+// identical at every pool shape, and equal to the one-cell campaign with
+// the same model, dist, adversary, n, seed, and reps = instances.
+func TestJobResultsInvariantAcrossShards(t *testing.T) {
+	var golden []leanconsensus.SpecResult
+	for _, shape := range [][2]int{{1, 1}, {2, 1}, {3, 2}} {
+		got := runSpecs(t, server.Config{Shards: shape[0], Workers: shape[1]}, shardsSpecs...)
+		if golden == nil {
+			golden = got
+			continue
+		}
+		for i := range got {
+			if got[i] != golden[i] {
+				t.Fatalf("spec %d at shards×workers %d×%d differs from 1×1:\n%+v\n%+v", i, shape[0], shape[1], got[i], golden[i])
+			}
+		}
+	}
+	for i, spec := range shardsSpecs {
+		var dists []string
+		if spec.Dist != "" {
+			dists = []string{spec.Dist}
+		}
+		rep, err := campaign.Run(context.Background(), campaign.Spec{
+			Models: []string{spec.Model}, Dists: dists, Adversaries: []string{spec.Adversary},
+			Ns: []int{spec.N}, Seeds: []uint64{spec.Seed}, Reps: spec.Instances,
+		}, campaign.Config{Shards: 1, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell, res := rep.Cells[0], golden[i]
+		if res.Decided0 != cell.Decided0 || res.Decided1 != cell.Decided1 || res.Ops != cell.Ops ||
+			res.Errors != cell.Errors || res.MaxRound != cell.MaxLastRound {
+			t.Fatalf("spec %d differs from its one-cell campaign:\njob      %+v\ncampaign %+v", i, res, cell)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -222,6 +223,33 @@ func TestStateCampaignResumesByteIdentical(t *testing.T) {
 	}
 }
 
+// writeAdmittedJob lays out a state dir holding one "admitted" job
+// record with the given submit body, plus seq counters ending at its ID:
+// what a process that died between admission and completion leaves.
+func writeAdmittedJob(t *testing.T, dir, id, tenant, submit string) {
+	t.Helper()
+	for _, d := range []string{"jobs", "campaigns", "checkpoints"} {
+		if err := os.MkdirAll(filepath.Join(dir, d), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := fmt.Sprintf(`{
+  "version": 1,
+  "id": %q,
+  "created": "2026-08-08T12:00:00Z",
+  "tenant": %q,
+  "submit": %s,
+  "status": "admitted"
+}`, id, tenant, submit)
+	if err := os.WriteFile(filepath.Join(dir, "jobs", id+".json"), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seqs := fmt.Sprintf(`{"version": 1, "jobSeq": %d, "campaignSeq": 0}`, idNum(t, id))
+	if err := os.WriteFile(filepath.Join(dir, "seqs.json"), []byte(seqs), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestStateInterruptedJobRerunsAtBoot simulates a crash: a state dir
 // holding an "admitted" job record (what a process that died between
 // admission and completion leaves behind) plus its seq counters. Boot
@@ -230,26 +258,7 @@ func TestStateCampaignResumesByteIdentical(t *testing.T) {
 func TestStateInterruptedJobRerunsAtBoot(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
-	for _, d := range []string{"jobs", "campaigns", "checkpoints"} {
-		if err := os.MkdirAll(filepath.Join(dir, d), 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rec := `{
-  "version": 1,
-  "id": "j-000005",
-  "created": "2026-08-08T12:00:00Z",
-  "tenant": "crashed",
-  "submit": {"jobs":[{"n":2,"instances":10,"seed":9}]},
-  "status": "admitted"
-}`
-	if err := os.WriteFile(filepath.Join(dir, "jobs", "j-000005.json"), []byte(rec), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	seqs := `{"version": 1, "jobSeq": 5, "campaignSeq": 0}`
-	if err := os.WriteFile(filepath.Join(dir, "seqs.json"), []byte(seqs), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeAdmittedJob(t, dir, "j-000005", "crashed", `{"jobs":[{"n":2,"instances":10,"seed":9}]}`)
 
 	srv, client, _ := newStateServer(t, dir, server.Config{})
 	st, err := client.WaitJob(ctx, "j-000005")
@@ -280,6 +289,33 @@ func TestStateInterruptedJobRerunsAtBoot(t *testing.T) {
 	}
 	if _, err := client.WaitJob(ctx, id); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStateInterruptedJobRerunsUnderNewShards is the restart half of the
+// -shards regression: an "admitted" job record re-run at boot under a
+// different pool shape serves exactly the result an uninterrupted run of
+// the same spec serves at Shards 1.
+func TestStateInterruptedJobRerunsUnderNewShards(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	submit, err := json.Marshal(map[string]any{"jobs": shardsSpecs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeAdmittedJob(t, dir, "j-000001", "", string(submit))
+
+	_, client, _ := newStateServer(t, dir, server.Config{Shards: 3, Workers: 2})
+	st, err := client.WaitJob(ctx, "j-000001")
+	if err != nil {
+		t.Fatalf("interrupted job never re-ran: %v", err)
+	}
+	rerun := deterministicResults(t, st)
+	want := runSpecs(t, server.Config{Shards: 1, Workers: 1}, shardsSpecs...)
+	for i := range want {
+		if rerun[i] != want[i] {
+			t.Fatalf("spec %d re-run at boot under 3×2 differs from an uninterrupted 1×1 run:\n%+v\n%+v", i, rerun[i], want[i])
+		}
 	}
 }
 

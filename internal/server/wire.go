@@ -58,9 +58,10 @@ type SpecStatus struct {
 
 // SpecResult aggregates one executed spec. Every field except the
 // wall-clock ones (ElapsedMS, Throughput) is a pure function of the
-// spec — byte-identical across replays, and matching what cmd/leanarena
-// reports for the same shape, since the server derives the workload from
-// the same seed streams.
+// spec — byte-identical across replays and pool shapes. The spec runs
+// exactly the instances of the one-cell campaign with the same model,
+// dist, adversary, n, seed, and reps = instances, so cmd/leansweep
+// reports the same decisions, ops, errors, and maxLastRound (MaxRound).
 type SpecResult struct {
 	Model          string  `json:"model"`
 	Variant        string  `json:"variant"`
@@ -124,7 +125,9 @@ type adversaryParam struct {
 // captures of a traced job, one block per spec in submission order.
 // Specs is empty until the job finishes (captures are selected when each
 // spec's arena closes), and every Trace block is empty when the job was
-// submitted without the trace option.
+// submitted without the trace option. A capture of rep from+k of a spec
+// is named "model=…,dist=…,adv=…,n=…,seed=…,from=<from>,rep=<k>", where
+// from is the first rep of the cell that ran it.
 type JobTrace struct {
 	ID     string      `json:"id"`
 	Status string      `json:"status"`
