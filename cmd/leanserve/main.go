@@ -10,15 +10,18 @@
 //	          [-state-dir DIR] [-tenant-share 0.5] [-max-tenants 64]
 //	          [-journal-dir DIR] [-debug-addr ADDR] [-list] [-version]
 //
-// -state-dir makes the service state durable: every admitted job and
-// campaign is persisted as an atomic record under DIR, ID sequences
-// continue across restarts, finished work stays servable at
-// GET /v1/jobs/{id} / GET /v1/campaigns/{id} on the new process, and
-// interrupted work re-runs at boot — campaigns resume from their
-// checkpoint manifest, emitting a report byte-identical to an
-// uninterrupted run. With -state-dir, SIGINT is a checkpoint-and-stop
-// handoff instead of a full drain: running campaigns stop at the next
-// cell boundary and the restarted process picks them up.
+// -state-dir makes the service state durable: every admission and every
+// finished job or campaign is appended to one CRC-framed state log,
+// DIR/state.log, and acknowledged only once a group commit (one fsync
+// shared by concurrent appends, none under the table lock) has made it
+// durable. ID sequences continue across restarts, finished work stays
+// servable at GET /v1/jobs/{id} / GET /v1/campaigns/{id} on the new
+// process, and interrupted work re-runs at boot — campaigns resume from
+// their checkpoint manifest under DIR/checkpoints, emitting a report
+// byte-identical to an uninterrupted run. With -state-dir, SIGINT is a
+// checkpoint-and-stop handoff instead of a full drain: running
+// campaigns stop at the next cell boundary and the restarted process
+// picks them up.
 //
 // -journal-dir makes the operations journal durable: a follower
 // goroutine persists every event to length-prefixed, CRC-checked
@@ -110,7 +113,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	highwater := fs.Int64("highwater", 0, "queued-instance high-water mark for 429 shedding (default 262144)")
 	maxbatch := fs.Int("maxbatch", 0, "maximum job specs per POST (default 64)")
 	maxjobs := fs.Int("maxjobs", 0, "maximum concurrently executing jobs (default GOMAXPROCS/2)")
-	stateDir := fs.String("state-dir", "", "persist admitted jobs/campaigns and resume them across restarts (off when empty)")
+	stateDir := fs.String("state-dir", "", "keep a group-committed log of admitted and finished jobs/campaigns in this directory and resume them across restarts (off when empty)")
 	tenantShare := fs.Float64("tenant-share", 0, "guaranteed per-tenant fraction of the high-water mark (default 0.5)")
 	maxTenants := fs.Int("max-tenants", 0, "maximum named tenant buckets; further names share the default bucket (default 64)")
 	journalDir := fs.String("journal-dir", "", "persist the operations journal to segments in this directory (off when empty)")

@@ -21,7 +21,8 @@
 //
 // # Framing
 //
-// Each record is one journal event, framed as:
+// Each record is one journal event as JSON, framed by the package's
+// frame codec (frame.go):
 //
 //	uint32 LE  payload length
 //	uint32 LE  CRC32 (IEEE) of payload
@@ -58,10 +59,8 @@ package store
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -90,7 +89,6 @@ const (
 const (
 	segPrefix = "journal-"
 	segSuffix = ".seg"
-	headerLen = 8
 )
 
 // Options tunes a store. The zero value selects every default.
@@ -259,36 +257,21 @@ func validateSegment(path string, prevLast uint64) (seg segment, keepBytes int64
 	}
 	defer f.Close()
 	seg.path = path
-	r := bufio.NewReaderSize(f, 1<<16)
-	var offset int64
-	var header [headerLen]byte
+	fr := NewFrameReader(f, maxRecordBytes)
 	last := prevLast
 	for {
-		if _, err := io.ReadFull(r, header[:]); err != nil {
-			if err == io.EOF {
-				return seg, offset, true, nil // clean end
-			}
-			return seg, offset, false, nil // torn header
-		}
-		length := binary.LittleEndian.Uint32(header[0:4])
-		sum := binary.LittleEndian.Uint32(header[4:8])
-		if length == 0 || length > maxRecordBytes {
-			return seg, offset, false, nil
-		}
-		payload := make([]byte, int(length)+1)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return seg, offset, false, nil // torn payload
-		}
-		if payload[len(payload)-1] != '\n' {
-			return seg, offset, false, nil
-		}
-		payload = payload[:length]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return seg, offset, false, nil
+		payload, err := fr.Next()
+		switch {
+		case err == io.EOF:
+			return seg, fr.Offset(), true, nil // clean end
+		case err == ErrBadFrame:
+			return seg, fr.Offset(), false, nil
+		case err != nil:
+			return seg, 0, false, fmt.Errorf("store: %v", err)
 		}
 		var e obslog.Event
 		if err := json.Unmarshal(payload, &e); err != nil || e.Seq <= last {
-			return seg, offset, false, nil
+			return seg, seg.bytes, false, nil
 		}
 		last = e.Seq
 		if seg.first == 0 {
@@ -296,8 +279,7 @@ func validateSegment(path string, prevLast uint64) (seg segment, keepBytes int64
 		}
 		seg.last = e.Seq
 		seg.lastTS = e.TS
-		offset += headerLen + int64(length) + 1
-		seg.bytes = offset
+		seg.bytes = fr.Offset()
 	}
 }
 
@@ -402,11 +384,7 @@ func (s *Store) appendLocked(e *obslog.Event) error {
 		}
 		active = s.activeLocked()
 	}
-	s.scratch = s.scratch[:0]
-	s.scratch = binary.LittleEndian.AppendUint32(s.scratch, uint32(len(payload)))
-	s.scratch = binary.LittleEndian.AppendUint32(s.scratch, crc32.ChecksumIEEE(payload))
-	s.scratch = append(s.scratch, payload...)
-	s.scratch = append(s.scratch, '\n')
+	s.scratch = AppendFrame(s.scratch[:0], payload)
 	if _, err := s.w.Write(s.scratch); err != nil {
 		return fmt.Errorf("store: %v", err)
 	}
@@ -552,27 +530,14 @@ func replaySegment(path string, size int64, since uint64, fn func(obslog.Event) 
 		return fmt.Errorf("store: %v", err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(io.LimitReader(f, size), 1<<16)
-	var header [headerLen]byte
+	fr := NewFrameReader(io.LimitReader(f, size), maxRecordBytes)
 	for {
-		if _, err := io.ReadFull(r, header[:]); err != nil {
-			if err == io.EOF {
-				return nil
-			}
+		payload, err := fr.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
 			return fmt.Errorf("store: %s: %v", filepath.Base(path), err)
-		}
-		length := binary.LittleEndian.Uint32(header[0:4])
-		sum := binary.LittleEndian.Uint32(header[4:8])
-		if length == 0 || length > maxRecordBytes {
-			return fmt.Errorf("store: %s: corrupt frame", filepath.Base(path))
-		}
-		payload := make([]byte, int(length)+1)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return fmt.Errorf("store: %s: %v", filepath.Base(path), err)
-		}
-		payload = payload[:length]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return fmt.Errorf("store: %s: CRC mismatch", filepath.Base(path))
 		}
 		var e obslog.Event
 		if err := json.Unmarshal(payload, &e); err != nil {

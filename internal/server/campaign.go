@@ -48,8 +48,11 @@ type campaignRun struct {
 	camp    *campaign.Campaign
 
 	// restored, when non-nil, is a terminal snapshot loaded from the
-	// state store after a restart; it is served verbatim (camp is nil).
+	// state log after a restart; it is served verbatim (camp is nil).
 	restored *CampaignStatus
+	// logged is the ticket of the campaign's admit frame in the state
+	// log (0 when restored at boot or when state is off).
+	logged uint64
 
 	cellsDone     atomic.Int64
 	instancesDone atomic.Int64
@@ -134,6 +137,19 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 			"server: %d instances queued (high-water %d); retry later", cur, s.cfg.HighWater)
 		return
 	}
+	var rec []byte
+	created := time.Now()
+	if s.state != nil {
+		// Persisted exactly like jobs; the normalized spec re-resolves to
+		// the same cells and spec hash at boot, tying the record to its
+		// checkpoint.
+		if rec, err = encodeRecord(&stateRecord{Status: recAdmitted, Created: created, Corr: corr, Tenant: ten, Spec: &camp.Spec}); err != nil {
+			s.release(tb, camp.Instances)
+			s.mCampRejected.Inc()
+			writeError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+	}
 
 	s.mu.Lock()
 	if s.closed {
@@ -146,7 +162,7 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	s.cseq++
 	cr := &campaignRun{
 		id:      fmt.Sprintf("c-%06d", s.cseq),
-		created: time.Now(),
+		created: created,
 		corr:    corr,
 		tenant:  ten,
 		tb:      tb,
@@ -154,26 +170,12 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		done:    make(chan struct{}),
 	}
 	if s.state != nil {
-		// Persist the admission before acknowledging it, exactly like
-		// jobs; the normalized spec re-resolves to the same cells and
-		// spec hash at boot, tying the record to its checkpoint.
-		err := s.state.saveCampaign(&campaignRecord{
-			ID: cr.id, Created: cr.created, Corr: corr, Tenant: ten,
-			Spec: camp.Spec, Status: recAdmitted,
-		})
-		if err == nil {
-			err = s.state.saveSeqs(s.seq, s.cseq)
-		}
-		if err != nil {
-			// Roll back the record too: an orphaned "admitted" file would
-			// resume at the next boot as a campaign the client was told
-			// never existed.
-			s.state.removeCampaign(cr.id)
+		if cr.logged, err = s.state.append(cr.id, rec, false); err != nil {
 			s.cseq--
 			s.mu.Unlock()
 			s.release(tb, camp.Instances)
 			s.mCampRejected.Inc()
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			writeError(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
 	}
@@ -182,6 +184,21 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	s.evictCampaignsLocked()
 	s.wg.Add(1)
 	s.mu.Unlock()
+
+	if s.state != nil {
+		// Acknowledged only once the admit frame commits, like jobs.
+		if err := s.state.wait(cr.logged); err != nil {
+			s.mu.Lock()
+			delete(s.campaigns, cr.id)
+			s.corder = removeID(s.corder, cr.id)
+			s.mu.Unlock()
+			s.wg.Done()
+			s.release(tb, camp.Instances)
+			s.mCampRejected.Inc()
+			writeError(w, stateError(err), "%v", err)
+			return
+		}
+	}
 
 	s.mCampAccepted.Inc()
 	s.journal.Append(obslog.KindCampaignStart, cr.id, corr,
@@ -288,34 +305,30 @@ func (s *Server) runCampaign(cr *campaignRun) {
 		s.mCampCompleted.Inc()
 	}
 	if s.state != nil {
-		status := recDone
-		if err != nil {
-			status = recFailed
-		}
-		s.saveCampaignTerminal(cr, status)
+		s.saveCampaignTerminal(cr)
 	}
 	s.journal.Append(obslog.KindCampaignDone, cr.id, cr.corr, obslog.Labels{Detail: outcome})
 	close(cr.done)
 }
 
-// saveCampaignTerminal persists cr's terminal record, under s.mu and
-// only while cr is still the table's entry — the campaign mirror of
-// saveJobTerminal: the run is already in a terminal state, so an
-// unguarded write here could race evictCampaignsLocked and recreate a
-// record (and leave a checkpoint) eviction just removed. As with jobs,
-// a failed write leaves "admitted", and the next boot resumes from the
-// checkpoint to the same deterministic report.
-func (s *Server) saveCampaignTerminal(cr *campaignRun, status string) {
-	final := cr.snapshot()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.campaigns[cr.id] != cr {
+// saveCampaignTerminal appends cr's terminal frame, under s.mu and only
+// while cr is still the table's entry, and waits for its commit — the
+// campaign mirror of saveJobTerminal. As with jobs, a failed commit is
+// either carried by the rewrite or leaves "admitted", and the next boot
+// resumes from the checkpoint to the same deterministic report.
+func (s *Server) saveCampaignTerminal(cr *campaignRun) {
+	rec, err := encodeRecord(cr.record())
+	if err != nil {
 		return
 	}
-	if werr := s.state.saveCampaign(&campaignRecord{
-		ID: cr.id, Created: cr.created, Corr: cr.corr, Tenant: cr.tenant,
-		Spec: cr.camp.Spec, Status: status, Final: &final,
-	}); werr == nil {
+	s.mu.Lock()
+	if s.campaigns[cr.id] != cr {
+		s.mu.Unlock()
+		return
+	}
+	t, err := s.state.append(cr.id, rec, false)
+	s.mu.Unlock()
+	if err == nil && s.state.wait(t) == nil {
 		// The checkpoint has served its purpose once the terminal
 		// record is durable; eviction would remove it anyway.
 		os.Remove(s.state.checkpointPath(cr.id)) //nolint:errcheck
@@ -324,12 +337,13 @@ func (s *Server) saveCampaignTerminal(cr *campaignRun, status string) {
 
 // evictCampaignsLocked trims the campaign table to MaxJobsKept via the
 // shared finished-first eviction helper; an evicted campaign's durable
-// record and checkpoint are forgotten with it. Unfinished campaigns are
-// never evicted.
+// record (by an evict frame) and checkpoint are forgotten with it.
+// Unfinished campaigns are never evicted.
 func (s *Server) evictCampaignsLocked() {
 	s.corder = evictFinished(s.campaigns, s.corder, s.cfg.MaxJobsKept, &s.cevictSkip, func(id string) {
 		if s.state != nil {
-			s.state.removeCampaign(id)
+			s.state.append(id, evictBody, true)   //nolint:errcheck // a broken log persists nothing
+			os.Remove(s.state.checkpointPath(id)) //nolint:errcheck
 		}
 	})
 }

@@ -67,8 +67,11 @@ type job struct {
 	// what the job's "admitted" record stores, and what a successor
 	// process re-decodes to re-run interrupted work.
 	submit []byte
+	// logged is the ticket of the job's admit frame in the state log (0
+	// when restored at boot or when state is off).
+	logged uint64
 	// restored, when non-nil, is a terminal snapshot loaded from the
-	// state store after a restart; it is served verbatim.
+	// state log after a restart; it is served verbatim.
 	restored *JobStatus
 
 	state atomic.Int32
@@ -198,39 +201,40 @@ func (s *Server) runJob(j *job) {
 		s.mCompleted.Inc()
 	}
 	if s.state != nil {
-		status := recDone
-		if failed != nil {
-			status = recFailed
-		}
-		s.saveJobTerminal(j, status)
+		s.saveJobTerminal(j)
 	}
 	s.journal.Append(obslog.KindJobDone, j.id, j.corr, obslog.Labels{Detail: outcome})
 	close(j.done)
 }
 
-// saveJobTerminal persists j's terminal record, under s.mu and only
-// while j is still the table's entry: the job is already in a terminal
-// state, so a concurrent evictLocked may have deleted the entry and
-// removed its record file, and an unguarded write here would recreate
-// the file — resurrecting the evicted ID at the next boot, with disk
-// and table disagreeing. Holding s.mu orders the two: either the save
-// lands first and eviction removes it, or eviction wins and the save
-// is skipped.
+// saveJobTerminal appends j's terminal frame, under s.mu and only while
+// j is still the table's entry, and waits for its commit. The job is
+// already in a terminal state, so a concurrent evictLocked may have
+// deleted the entry and appended its evict frame; a terminal frame
+// after it would resurrect the evicted ID at the next boot, with disk
+// and table disagreeing. Appending under s.mu orders the two: either
+// the terminal frame lands first and the evict frame follows it, or
+// eviction wins and the save is skipped.
 //
-// A failed record write leaves the record "admitted": the next boot
-// re-runs the job and, results being deterministic, serves the same
-// outcome — so the error needs no further handling.
-func (s *Server) saveJobTerminal(j *job, status string) {
-	final := j.snapshot()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.jobs[j.id] != j {
+// A failed commit needs no handling: either the rewrite that follows it
+// carries the finished job from the table, or the record stays
+// "admitted" and the next boot re-runs the job, which serves the same
+// deterministic outcome.
+func (s *Server) saveJobTerminal(j *job) {
+	rec, err := encodeRecord(j.record())
+	if err != nil {
 		return
 	}
-	s.state.saveJob(&jobRecord{ //nolint:errcheck
-		ID: j.id, Created: j.created, Corr: j.corr, Tenant: j.tenant,
-		Submit: j.submit, Status: status, Final: &final,
-	})
+	s.mu.Lock()
+	if s.jobs[j.id] != j {
+		s.mu.Unlock()
+		return
+	}
+	t, err := s.state.append(j.id, rec, false)
+	s.mu.Unlock()
+	if err == nil {
+		s.state.wait(t) //nolint:errcheck // see above
+	}
 }
 
 // runSpec serves one spec on a fresh arena as the one-cell campaign with

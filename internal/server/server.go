@@ -117,8 +117,9 @@ type Config struct {
 	// zero values select the store defaults. Ignored without JournalDir.
 	JournalStore store.Options
 	// StateDir, when non-empty, arms durable service state: every
-	// admitted job and campaign is persisted as an atomic record under
-	// this directory (see internal/server/state.go), ID sequences
+	// admission and every finished job or campaign is appended to one
+	// group-committed state log in this directory and acknowledged once
+	// it is durable (see internal/server/state.go), ID sequences
 	// continue across restarts, finished work is servable again after a
 	// restart, and interrupted work re-runs — campaigns resuming from
 	// their per-ID checkpoint manifest, byte-identical to an
@@ -169,7 +170,7 @@ type Server struct {
 	completed atomic.Int64 // instances finished, feeding the rate EWMA
 	rate      rateEWMA
 
-	state *stateStore // durable service state; nil when StateDir is off
+	state *stateLog // durable service state; nil when StateDir is off
 	// stopCtx is cancelled by Close when durable state is armed: running
 	// campaigns stop at the next cell boundary (checkpoint-and-stop) and
 	// queued work is handed to the successor process instead of drained.
@@ -284,9 +285,10 @@ func New(cfg Config) (*Server, error) {
 	// history is followed or any resumed work journals new events.
 	var rerunJobs []*job
 	var rerunCampaigns []*campaignRun
+	var torn int64
 	if cfg.StateDir != "" {
 		var err error
-		if rerunJobs, rerunCampaigns, err = s.armState(); err != nil {
+		if rerunJobs, rerunCampaigns, torn, err = s.armState(); err != nil {
 			return nil, err
 		}
 	}
@@ -299,8 +301,17 @@ func New(cfg Config) (*Server, error) {
 		"journal events lost to ring wrap before the persistence follower could record them (seq gaps)")
 	if cfg.JournalDir != "" {
 		if err := s.armJournalStore(cfg); err != nil {
+			if s.state != nil {
+				s.state.close() //nolint:errcheck // boot already failed
+			}
 			return nil, err
 		}
+	}
+	if torn > 0 {
+		// The state log's torn tail, in the event kind the journal store
+		// uses for its own.
+		s.journal.Append(obslog.KindJournalTruncate, "", "",
+			obslog.Labels{Count: torn, Detail: stateLogName})
 	}
 
 	s.mux = http.NewServeMux()
@@ -459,13 +470,19 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	s.stopFn()
+	var err error
+	if s.state != nil {
+		err = s.state.close()
+	}
 	if s.follower != nil {
 		s.follower.Stop()
 	}
 	if s.store != nil {
-		return s.store.Close()
+		if serr := s.store.Close(); err == nil {
+			err = serr
+		}
 	}
-	return nil
+	return err
 }
 
 // errorBody is the JSON error envelope.
@@ -550,6 +567,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"server: %d instances queued (high-water %d); retry later", cur, s.cfg.HighWater)
 		return
 	}
+	var rec []byte
+	var created time.Time
+	if s.state != nil {
+		// Encoded before the table lock: under it, admission only mints
+		// the ID and appends the frame.
+		created = time.Now()
+		if rec, err = encodeRecord(&stateRecord{Status: recAdmitted, Created: created, Corr: corr, Tenant: ten, Submit: body}); err != nil {
+			s.release(tb, total)
+			s.mRejected.Inc()
+			writeError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+	}
 
 	s.mu.Lock()
 	if s.closed {
@@ -563,28 +593,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := newJob(fmt.Sprintf("j-%06d", s.seq), batch, s.cfg.Shards, corr)
 	j.tenant, j.tb = ten, tb
 	if s.state != nil {
-		// Persist the admission before it is acknowledged: the durable ID
-		// contract means a 202'd ID must resolve after any restart. A
-		// record that cannot be written is an admission that never
-		// happened.
-		j.submit = body
-		err := s.state.saveJob(&jobRecord{
-			ID: j.id, Created: j.created, Corr: corr, Tenant: ten,
-			Submit: body, Status: recAdmitted,
-		})
-		if err == nil {
-			err = s.state.saveSeqs(s.seq, s.cseq)
-		}
-		if err != nil {
-			// Roll back everything the failed admission touched — the
-			// record too: an orphaned "admitted" file would re-run at the
-			// next boot as a job the client was told never existed.
-			s.state.removeJob(j.id)
+		j.created, j.submit = created, body
+		if j.logged, err = s.state.append(j.id, rec, false); err != nil {
 			s.seq--
 			s.mu.Unlock()
 			s.release(tb, total)
 			s.mRejected.Inc()
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			writeError(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
 	}
@@ -593,6 +608,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.evictLocked()
 	s.wg.Add(1)
 	s.mu.Unlock()
+
+	if s.state != nil {
+		// The durable ID contract: a 202'd ID resolves after any restart,
+		// so the admission is acknowledged only once its frame commits. A
+		// frame that cannot commit is an admission that never happened;
+		// its ID stays unused.
+		if err := s.state.wait(j.logged); err != nil {
+			s.mu.Lock()
+			delete(s.jobs, j.id)
+			s.order = removeID(s.order, j.id)
+			s.mu.Unlock()
+			s.wg.Done()
+			s.release(tb, total)
+			s.mRejected.Inc()
+			writeError(w, stateError(err), "%v", err)
+			return
+		}
+	}
 
 	s.mAccepted.Inc()
 	// A single-spec batch (the common case) gets its workload axes on the
@@ -616,13 +649,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // evictLocked trims the job table to MaxJobsKept via the shared
 // finished-first eviction helper; an evicted job's durable record is
-// forgotten with it. Unfinished jobs are never evicted.
+// forgotten with it, by an evict frame that rides the next commit.
+// Unfinished jobs are never evicted.
 func (s *Server) evictLocked() {
 	s.order = evictFinished(s.jobs, s.order, s.cfg.MaxJobsKept, &s.evictSkip, func(id string) {
 		if s.state != nil {
-			s.state.removeJob(id)
+			s.state.append(id, evictBody, true) //nolint:errcheck // a broken log persists nothing
 		}
 	})
+}
+
+// removeID deletes a rolled-back admission's ID from a creation-order
+// slice.
+func removeID(order []string, id string) []string {
+	for i := len(order) - 1; i >= 0; i-- {
+		if order[i] == id {
+			return append(order[:i], order[i+1:]...)
+		}
+	}
+	return order
 }
 
 // lookup returns the job or writes a 404.

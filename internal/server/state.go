@@ -1,385 +1,681 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"leanconsensus/internal/campaign"
+	"leanconsensus/internal/metrics"
+	"leanconsensus/internal/obslog/store"
 )
 
 // The durable service-state layer. With Config.StateDir set, the server
-// persists every admitted job and campaign as a small JSON record —
-// written with the same atomic temp-file+fsync+rename dance as campaign
-// checkpoints — and replays the directory at boot:
+// keeps one append-only state log of CRC-framed JSON records, in the
+// journal store's frame format, and folds it at boot:
 //
-//   - ID sequences continue across restarts (seqs.json, like journal
-//     seqs), so a restarted process never re-mints a client's ID.
-//   - Terminal records are served again at GET /v1/jobs/{id} and
-//     GET /v1/campaigns/{id}, verbatim from the stored final snapshot.
-//   - Records still in "admitted" state are work the previous process
-//     never finished: jobs re-run from their stored submit body (results
-//     are a pure function of the spec, so the rerun serves the same
-//     bytes), and campaigns resume from their per-ID checkpoint manifest
-//     under the state dir — the report after drain→restart→resume is
-//     byte-identical to an uninterrupted run.
+//   - An admit frame is appended when a job or campaign is minted, a
+//     terminal frame (the final snapshot) when it finishes, and an
+//     evict frame when the table bound drops it. Frames are appended
+//     under the table lock s.mu, so log order is table order and a
+//     terminal frame can never follow its own evict.
+//   - Group commit: the appender then waits outside the lock for the
+//     one write+fsync that covers its frame, and frames appended while
+//     a commit is in flight share the next one. Admission answers 202
+//     only after its admit frame commits, and a runner journals its
+//     done event only after its terminal frame commits: two fsyncs per
+//     job. Evict frames ride the next commit; Close commits the rest.
+//   - Boot folds the log: the last record per ID wins, an evict removes
+//     the ID, and the ID counters are the maximum of every ID seen and
+//     of the counters frame a rewrite puts at the head of the log, so a
+//     restarted process never re-mints a client's ID. Terminal records
+//     are served again verbatim; "admitted" ones are work the previous
+//     process never finished and re-run (jobs from their stored submit
+//     body, campaigns from their per-ID checkpoint manifest). A torn
+//     tail is truncated, as the journal store does, and journaled as
+//     one journal.truncate event.
+//   - A rewrite streams the live table into a fresh file (temp file,
+//     fsync, rename, directory fsync). It compacts the log once dead
+//     bytes exceed both the live bytes and compactFloor, and it is how
+//     the log recovers from a failed commit: after a failed fsync the
+//     kernel may have dropped the dirty pages, so a retried fsync could
+//     report success without the data, and the failed file is never
+//     synced again. The failed batch's admissions answer 500 and are
+//     rolled back; its finished work is in the table, so the rewrite
+//     carries it. If the rewrite fails too, the log stops and every
+//     later admission answers 503 until a restart.
 //
-// The record files are the source of truth for work; the journal is the
-// source of truth for history. Boot loads state first, then arms the
+// The state log is the source of truth for work; the journal is the
+// source of truth for history. Boot folds state first, then arms the
 // journal store, so the resumed work's lifecycle events land after the
-// replayed history they continue.
+// replayed history they continue. Campaign checkpoint manifests stay
+// files of their own under <dir>/checkpoints.
 
-// stateVersion guards the record schema.
-const stateVersion = 1
+const (
+	// stateLogName is the log's file name inside the state dir.
+	stateLogName = "state.log"
+	// compactFloor is the dead-byte count below which the log is never
+	// compacted, however small the live table.
+	compactFloor = 4 << 20
+	// maxStateFrame bounds one record's payload: a terminal campaign
+	// frame carries its whole report, up to campaign.MaxWireCells cells.
+	maxStateFrame = 64 << 20
+)
 
-// Record lifecycle values. A record is written as "admitted" at
-// admission, rewritten as "done"/"failed" with the final snapshot at
-// completion, and deleted when its entry is evicted from the in-memory
-// table. A crash between admission and completion leaves "admitted" —
-// exactly the marker boot uses to find interrupted work.
+// Record status values. A job or campaign is "admitted" until a
+// terminal frame says "done" or "failed"; a crash in between leaves
+// "admitted", exactly the marker boot uses to find interrupted work.
 const (
 	recAdmitted = "admitted"
 	recDone     = "done"
 	recFailed   = "failed"
+	recEvicted  = "evicted"
+	recCounters = "counters"
 )
 
-// jobRecord is the on-disk form of one admitted job batch.
-type jobRecord struct {
-	Version int       `json:"version"`
-	ID      string    `json:"id"`
-	Created time.Time `json:"created"`
+// stateRecord is one state-log frame. Job IDs start "j-" and campaign
+// IDs "c-"; the prefix says which table a record belongs to.
+type stateRecord struct {
+	ID      string    `json:"id,omitempty"`
+	Status  string    `json:"status"`
+	Created time.Time `json:"created,omitzero"`
 	Corr    string    `json:"correlation,omitempty"`
 	Tenant  string    `json:"tenant,omitempty"`
-	// Submit is the original POST /v1/jobs body, stored verbatim so an
-	// interrupted job re-decodes through the same DecodeSubmit path at
-	// boot (registries revalidate; results are deterministic).
-	Submit json.RawMessage `json:"submit"`
-	Status string          `json:"status"`
-	// Final is the terminal status snapshot, served verbatim after a
-	// restart (wall-clock fields and all — the record is the history).
-	Final *JobStatus `json:"final,omitempty"`
+	// Submit is an admitted job's original POST /v1/jobs body, stored
+	// verbatim so an interrupted job re-decodes through the same
+	// DecodeSubmit path at boot (registries revalidate; results are
+	// deterministic).
+	Submit json.RawMessage `json:"submit,omitempty"`
+	// Spec is an admitted campaign's normalized spec; it re-resolves at
+	// boot to the same cells and spec hash, which ties the record to its
+	// checkpoint manifest.
+	Spec *campaign.Spec `json:"spec,omitempty"`
+	// Job and Campaign are terminal snapshots, served verbatim after a
+	// restart (wall-clock fields and all: the record is the history).
+	Job      *JobStatus      `json:"job,omitempty"`
+	Campaign *CampaignStatus `json:"campaign,omitempty"`
+	// JobSeq and CampaignSeq are the ID counters of a counters frame.
+	JobSeq      uint64 `json:"jobSeq,omitempty"`
+	CampaignSeq uint64 `json:"campaignSeq,omitempty"`
 }
 
-// campaignRecord is the on-disk form of one admitted campaign.
-type campaignRecord struct {
-	Version int       `json:"version"`
-	ID      string    `json:"id"`
-	Created time.Time `json:"created"`
-	Corr    string    `json:"correlation,omitempty"`
-	Tenant  string    `json:"tenant,omitempty"`
-	// Spec is the normalized campaign spec; it re-resolves at boot to
-	// the same cells and the same spec hash, which is what ties the
-	// record to its checkpoint manifest.
-	Spec   campaign.Spec   `json:"spec"`
-	Status string          `json:"status"`
-	Final  *CampaignStatus `json:"final,omitempty"`
+// encodeRecord marshals rec without its ID: the log splices the ID in
+// when it frames the record, so callers encode outside the table lock
+// before the ID is minted.
+func encodeRecord(rec *stateRecord) ([]byte, error) {
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("server: encode state record: %w", err)
+	}
+	return b, nil
 }
 
-// seqsRecord persists the ID counters, exactly like journal seqs: boot
-// continues the numbering, so IDs minted before a restart stay unique
-// and resolvable after it.
-type seqsRecord struct {
-	Version     int    `json:"version"`
-	JobSeq      uint64 `json:"jobSeq"`
-	CampaignSeq uint64 `json:"campaignSeq"`
+// evictBody is every evict frame's record, minus the ID.
+var evictBody = []byte(`{"status":"evicted"}`)
+
+// errStateBroken answers admissions once a failed commit's rewrite has
+// failed too: nothing can be made durable until a restart.
+var errStateBroken = errors.New("server: durable state unavailable after a failed commit; restart to recover")
+
+// errStateClosed refuses appends after Close.
+var errStateClosed = errors.New("server: state log closed")
+
+// frameRef describes one frame in a commit batch, for the live-byte
+// index once the batch is on disk.
+type frameRef struct {
+	id    string
+	size  int64
+	evict bool
 }
 
-// stateStore owns the state directory layout:
-//
-//	<dir>/seqs.json            ID counters
-//	<dir>/jobs/<id>.json       one record per admitted job
-//	<dir>/campaigns/<id>.json  one record per admitted campaign
-//	<dir>/checkpoints/<id>.ckpt  campaign manifests, keyed by server ID
-//
-// All writes go through writeAtomic; readers (boot) never see a torn
-// record. Calls happen on admission/terminal cold paths, under s.mu or
-// from the single runner goroutine that owns the record — never on the
-// per-instance hot path, so state-dir-off costs exactly nothing and
-// state-dir-on costs one small file write per lifecycle transition.
-type stateStore struct {
-	dir string
+// failedBatch is a range of tickets whose commit failed.
+type failedBatch struct {
+	lo, hi uint64
+	err    error
 }
 
-// openStateStore creates the directory layout.
-func openStateStore(dir string) (*stateStore, error) {
-	for _, d := range []string{dir, filepath.Join(dir, "jobs"), filepath.Join(dir, "campaigns"), filepath.Join(dir, "checkpoints")} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("server: state dir: %w", err)
+// stateLog is the group-committed state log. Appends run under s.mu and
+// take mu briefly; commits run outside both, one at a time, by whichever
+// waiter finds none in flight.
+type stateLog struct {
+	dir, path string
+	// sync is the fsync seam: (*os.File).Sync in production; internal
+	// tests substitute faults and delays.
+	sync func(*os.File) error
+	// snapshot streams the live table into a rewrite (Server.snapshotState).
+	snapshot func(emit func(id string, body []byte) error) error
+
+	mu         sync.Mutex
+	cond       sync.Cond // signalled after every commit
+	buf        []byte    // frames appended since the last commit began
+	refs       []frameRef
+	spareBuf   []byte // the other half of the double buffer
+	spareRefs  []frameRef
+	scratch    []byte // payload assembly for append
+	appended   uint64 // tickets handed out; the next frame gets appended+1
+	resolved   uint64 // tickets whose commit has finished, one way or the other
+	failed     []failedBatch
+	committing bool
+	broken     error
+
+	// Owned by the committing goroutine (and boot, before any commit).
+	f     *os.File
+	index map[string]int64 // latest frame size per live ID ("" = counters)
+	size  int64            // log bytes on disk
+	live  int64            // sum of index
+	floor int64            // compaction floor; raised after a failed compaction
+
+	mCommit  *metrics.Histogram
+	mCommits *metrics.Counter
+	mRecords *metrics.Counter
+}
+
+// stateFold is what boot reads back from the log.
+type stateFold struct {
+	recs            map[string]*stateRecord
+	order           []string // first-appearance order
+	jobSeq, campSeq uint64
+	torn            int64 // bytes cut from a torn or corrupt tail
+}
+
+// openStateLog folds the log under dir (creating the layout if needed),
+// truncates a torn tail, and returns the log positioned to append, with
+// its commit telemetry registered on reg.
+func openStateLog(dir string, reg *metrics.Registry) (*stateLog, *stateFold, error) {
+	for _, old := range []string{"seqs.json", "jobs", "campaigns"} {
+		if _, err := os.Lstat(filepath.Join(dir, old)); err == nil {
+			return nil, nil, fmt.Errorf("server: state dir %s holds the pre-log per-file layout (%s); this version reads only %s", dir, old, stateLogName)
 		}
 	}
-	return &stateStore{dir: dir}, nil
+	if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
+		return nil, nil, fmt.Errorf("server: state dir: %w", err)
+	}
+	l := &stateLog{
+		dir:   dir,
+		path:  filepath.Join(dir, stateLogName),
+		sync:  (*os.File).Sync,
+		index: make(map[string]int64),
+		floor: compactFloor,
+	}
+	l.cond.L = &l.mu
+	f, err := os.OpenFile(l.path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("server: state log: %w", err)
+	}
+	fold, err := l.fold(f)
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	l.f = f
+	l.mCommit = reg.Histogram("leanconsensus_state_commit_seconds",
+		"state log group-commit latency (write and fsync) in seconds", fsyncBuckets)
+	l.mCommits = reg.Counter("leanconsensus_state_commits_total", "state log group commits")
+	l.mRecords = reg.Counter("leanconsensus_state_records_total", "state log records committed")
+	return l, fold, nil
 }
 
-func (st *stateStore) jobPath(id string) string { return filepath.Join(st.dir, "jobs", id+".json") }
-func (st *stateStore) campaignPath(id string) string {
-	return filepath.Join(st.dir, "campaigns", id+".json")
+// fold reads every frame of f, builds the live-byte index, and cuts a
+// torn or corrupt tail. A frame whose CRC holds but whose JSON does not
+// decode is real damage, not a torn write: boot fails loudly rather
+// than silently forgetting admitted work.
+func (l *stateLog) fold(f *os.File) (*stateFold, error) {
+	fold := &stateFold{recs: make(map[string]*stateRecord)}
+	fr := store.NewFrameReader(f, maxStateFrame)
+	for {
+		at := fr.Offset()
+		payload, err := fr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err == store.ErrBadFrame {
+			st, serr := f.Stat()
+			if serr != nil {
+				return nil, fmt.Errorf("server: state log: %w", serr)
+			}
+			fold.torn = st.Size() - fr.Offset()
+			if err := f.Truncate(fr.Offset()); err != nil {
+				return nil, fmt.Errorf("server: state log: %w", err)
+			}
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("server: state log: %w", err)
+		}
+		rec := &stateRecord{}
+		if err := json.Unmarshal(payload, rec); err != nil {
+			return nil, fmt.Errorf("server: corrupt state record at offset %d: %v", at, err)
+		}
+		l.account(rec.ID, fr.Offset()-at, rec.Status == recEvicted)
+		switch rec.Status {
+		case recCounters:
+			fold.jobSeq = max(fold.jobSeq, rec.JobSeq)
+			fold.campSeq = max(fold.campSeq, rec.CampaignSeq)
+			continue
+		case recAdmitted, recDone, recFailed, recEvicted:
+			if rec.ID == "" {
+				return nil, fmt.Errorf("server: state record at offset %d has no ID", at)
+			}
+		default:
+			return nil, fmt.Errorf("server: state record %s has unknown status %q", rec.ID, rec.Status)
+		}
+		if isCampaignID(rec.ID) {
+			fold.campSeq = max(fold.campSeq, idSeq(rec.ID))
+		} else {
+			fold.jobSeq = max(fold.jobSeq, idSeq(rec.ID))
+		}
+		if rec.Status == recEvicted {
+			delete(fold.recs, rec.ID)
+			continue
+		}
+		if _, seen := fold.recs[rec.ID]; !seen {
+			fold.order = append(fold.order, rec.ID)
+		}
+		fold.recs[rec.ID] = rec
+	}
+	// Evicted IDs leave holes in the first-appearance order.
+	live := fold.order[:0]
+	for _, id := range fold.order {
+		if fold.recs[id] != nil {
+			live = append(live, id)
+		}
+	}
+	fold.order = live
+	return fold, nil
 }
 
-// checkpointPath is the campaign's manifest location — derived from the
-// server campaign ID, so the record and the checkpoint can only ever
-// describe the same run.
-func (st *stateStore) checkpointPath(id string) string {
-	return filepath.Join(st.dir, "checkpoints", id+".ckpt")
+// account updates the live-byte index for one frame now on disk.
+func (l *stateLog) account(id string, size int64, evict bool) {
+	l.size += size
+	l.live -= l.index[id]
+	if evict {
+		delete(l.index, id)
+		return
+	}
+	l.index[id] = size
+	l.live += size
 }
 
-// writeAtomic is the campaign-manifest write dance: temp file in the
-// target directory, fsync, rename, fsync the directory. A crash at any
-// instant leaves either the previous record or the next — never a torn
-// one — and the directory fsync makes the rename itself durable.
-func writeAtomic(path string, b []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+// appendFrame appends body as one frame with id spliced in as its
+// first field, assembling the payload in scratch.
+func appendFrame(dst []byte, scratch *[]byte, id string, body []byte) []byte {
+	if id == "" {
+		return store.AppendFrame(dst, body)
+	}
+	p := append(append(append((*scratch)[:0], `{"id":"`...), id...), `",`...)
+	*scratch = append(p, body[1:]...)
+	return store.AppendFrame(dst, *scratch)
+}
+
+// append buffers one frame for id and returns its ticket, which wait
+// resolves. Callers hold s.mu, so tickets follow table order.
+func (l *stateLog) append(id string, body []byte, evict bool) (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.broken != nil {
+		return 0, l.broken
+	}
+	n := len(l.buf)
+	l.buf = appendFrame(l.buf, &l.scratch, id, body)
+	l.refs = append(l.refs, frameRef{id: id, size: int64(len(l.buf) - n), evict: evict})
+	l.appended++
+	return l.appended, nil
+}
+
+// committed reports whether ticket t is durable in the current file.
+// Boot-restored entries carry ticket 0.
+func (l *stateLog) committed(t uint64) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return t <= l.resolved && l.failedLocked(t) == nil
+}
+
+// failedLocked returns the error of the failed batch holding t, if any.
+func (l *stateLog) failedLocked(t uint64) error {
+	for i := len(l.failed) - 1; i >= 0 && l.failed[i].hi >= t; i-- {
+		if t >= l.failed[i].lo {
+			return l.failed[i].err
+		}
+	}
+	return nil
+}
+
+// wait blocks until ticket t's commit has finished and reports whether
+// the frame is durable. The first waiter to find no commit in flight
+// runs one for everything appended so far.
+func (l *stateLog) wait(t uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for {
+		if t <= l.resolved {
+			return l.failedLocked(t)
+		}
+		if l.broken != nil {
+			return l.broken
+		}
+		if !l.committing {
+			l.commitLocked()
+			continue
+		}
+		l.cond.Wait()
+	}
+}
+
+// commitLocked writes and fsyncs every buffered frame, handles a failure
+// by rewriting the log from the table, and compacts when due. It is
+// entered and left with mu held, and releases it for all file work.
+func (l *stateLog) commitLocked() {
+	l.committing = true
+	batch, refs, upto, syncf := l.buf, l.refs, l.appended, l.sync
+	l.buf, l.refs = l.spareBuf[:0], l.spareRefs[:0]
+	l.mu.Unlock()
+
+	start := time.Now()
+	_, err := l.f.Write(batch)
+	if err == nil {
+		err = syncf(l.f)
+	}
+	l.mCommit.Observe(time.Since(start).Seconds())
+	l.mCommits.Inc()
+	l.mRecords.Add(int64(len(refs)))
+	compact := false
+	if err == nil {
+		for _, r := range refs {
+			l.account(r.id, r.size, r.evict)
+		}
+		dead := l.size - l.live
+		compact = dead > l.live && dead > l.floor
+	} else {
+		err = fmt.Errorf("server: state log commit: %w", err)
+		// Cut the failed batch back off: if the rewrite fails too, the
+		// old file stays the log, holding exactly the committed frames.
+		l.f.Truncate(l.size) //nolint:errcheck // best effort; the rewrite replaces the file
+		l.mu.Lock()
+		l.failed = append(l.failed, failedBatch{lo: l.resolved + 1, hi: upto, err: err})
+		l.mu.Unlock()
+		if rerr := l.rewrite(syncf); rerr != nil {
+			l.mu.Lock()
+			l.broken = errStateBroken
+			l.mu.Unlock()
+		}
+	}
+
+	l.mu.Lock()
+	l.resolved = upto
+	clear(refs) // drop the ID strings
+	l.spareBuf, l.spareRefs = batch[:0], refs[:0]
+	if compact {
+		// Release this batch's waiters before the rewrite; frames appended
+		// meanwhile stay buffered for the next commit, into the new file.
+		l.cond.Broadcast()
+		l.mu.Unlock()
+		if l.rewrite(syncf) != nil {
+			// The old file is intact; retry once twice the dead bytes.
+			l.floor = 2 * (l.size - l.live)
+		}
+		l.mu.Lock()
+	}
+	l.committing = false
+	l.cond.Broadcast()
+}
+
+// rewrite streams the live table into a fresh file and renames it over
+// the log: the counters, then every entry whose admission is durable.
+// Buffered frames are not part of it; they follow at the next commit.
+// On error the old file stays in place. Runs on the committing
+// goroutine, with mu released.
+func (l *stateLog) rewrite(syncf func(*os.File) error) error {
+	tmp, err := os.CreateTemp(l.dir, stateLogName+".tmp-*")
 	if err != nil {
 		return err
 	}
-	_, werr := tmp.Write(b)
-	if werr == nil {
-		werr = tmp.Sync()
+	index := make(map[string]int64, len(l.index))
+	var size int64
+	var frame, scratch []byte
+	bw := bufio.NewWriterSize(tmp, 1<<16)
+	err = l.snapshot(func(id string, body []byte) error {
+		frame = appendFrame(frame[:0], &scratch, id, body)
+		index[id] = int64(len(frame))
+		size += int64(len(frame))
+		_, err := bw.Write(frame)
+		return err
+	})
+	if err == nil {
+		err = bw.Flush()
 	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
+	if err == nil {
+		err = syncf(tmp)
 	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return werr
+	if err == nil {
+		err = os.Rename(tmp.Name(), l.path)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err != nil {
+		tmp.Close()
 		os.Remove(tmp.Name())
 		return err
 	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
+	if d, err := os.Open(l.dir); err == nil {
 		d.Sync() //nolint:errcheck // best-effort; some filesystems reject dir fsync
 		d.Close()
 	}
+	l.f.Close() // the replaced file is never synced again
+	l.f, l.index, l.size, l.live = tmp, index, size, size
 	return nil
 }
 
-func writeRecord(path string, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return fmt.Errorf("server: encode state record: %w", err)
+// close commits whatever is still buffered and closes the file.
+func (l *stateLog) close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.committing {
+		l.cond.Wait()
 	}
-	b = append(b, '\n')
-	if err := writeAtomic(path, b); err != nil {
-		return fmt.Errorf("server: write state record: %w", err)
+	if l.broken == errStateClosed {
+		return nil
 	}
-	return nil
+	var err error
+	if l.broken == nil && l.appended > l.resolved {
+		l.commitLocked()
+		err = l.failedLocked(l.appended)
+	}
+	if l.broken != nil {
+		err = l.broken
+	}
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	l.broken = errStateClosed
+	return err
 }
 
-func (st *stateStore) saveJob(rec *jobRecord) error {
-	rec.Version = stateVersion
-	return writeRecord(st.jobPath(rec.ID), rec)
+// checkpointPath is a campaign's manifest location, derived from the
+// server campaign ID, so the record and the checkpoint can only ever
+// describe the same run.
+func (l *stateLog) checkpointPath(id string) string {
+	return filepath.Join(l.dir, "checkpoints", id+".ckpt")
 }
 
-func (st *stateStore) saveCampaign(rec *campaignRecord) error {
-	rec.Version = stateVersion
-	return writeRecord(st.campaignPath(rec.ID), rec)
+// stateError maps a failed admission commit to its status code.
+func stateError(err error) int {
+	if errors.Is(err, errStateBroken) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
 }
 
-func (st *stateStore) saveSeqs(jobSeq, campSeq uint64) error {
-	return writeRecord(filepath.Join(st.dir, "seqs.json"),
-		&seqsRecord{Version: stateVersion, JobSeq: jobSeq, CampaignSeq: campSeq})
-}
-
-// removeJob forgets an evicted job's record; once the in-memory table
-// has dropped the entry, a restart must not resurrect it.
-func (st *stateStore) removeJob(id string) {
-	os.Remove(st.jobPath(id)) //nolint:errcheck // already-gone is fine
-}
-
-// removeCampaign forgets an evicted campaign's record and checkpoint.
-func (st *stateStore) removeCampaign(id string) {
-	os.Remove(st.campaignPath(id))   //nolint:errcheck
-	os.Remove(st.checkpointPath(id)) //nolint:errcheck
-}
-
-// loadSeqs reads the persisted ID counters (zero when absent).
-func (st *stateStore) loadSeqs() (jobSeq, campSeq uint64, err error) {
-	b, err := os.ReadFile(filepath.Join(st.dir, "seqs.json"))
-	if os.IsNotExist(err) {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("server: read state seqs: %w", err)
-	}
-	var rec seqsRecord
-	if err := json.Unmarshal(b, &rec); err != nil {
-		return 0, 0, fmt.Errorf("server: corrupt state seqs: %v", err)
-	}
-	if rec.Version != stateVersion {
-		return 0, 0, fmt.Errorf("server: state seqs version %d, want %d", rec.Version, stateVersion)
-	}
-	return rec.JobSeq, rec.CampaignSeq, nil
-}
-
-// loadJobs reads every job record, sorted by ID (zero-padded IDs make
-// lexicographic order creation order). Records are written atomically,
-// so a record that fails to parse is real damage, not a torn write —
-// boot fails loudly rather than silently forgetting admitted work.
-func (st *stateStore) loadJobs() ([]*jobRecord, error) {
-	paths, err := recordPaths(filepath.Join(st.dir, "jobs"))
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]*jobRecord, 0, len(paths))
-	for _, p := range paths {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			return nil, fmt.Errorf("server: read state record: %w", err)
-		}
-		rec := &jobRecord{}
-		if err := json.Unmarshal(b, rec); err != nil {
-			return nil, fmt.Errorf("server: corrupt state record %s: %v", p, err)
-		}
-		if rec.Version != stateVersion {
-			return nil, fmt.Errorf("server: state record %s has version %d, want %d", p, rec.Version, stateVersion)
-		}
-		recs = append(recs, rec)
-	}
-	return recs, nil
-}
-
-// loadCampaigns reads every campaign record, sorted by ID.
-func (st *stateStore) loadCampaigns() ([]*campaignRecord, error) {
-	paths, err := recordPaths(filepath.Join(st.dir, "campaigns"))
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]*campaignRecord, 0, len(paths))
-	for _, p := range paths {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			return nil, fmt.Errorf("server: read state record: %w", err)
-		}
-		rec := &campaignRecord{}
-		if err := json.Unmarshal(b, rec); err != nil {
-			return nil, fmt.Errorf("server: corrupt state record %s: %v", p, err)
-		}
-		if rec.Version != stateVersion {
-			return nil, fmt.Errorf("server: state record %s has version %d, want %d", p, rec.Version, stateVersion)
-		}
-		recs = append(recs, rec)
-	}
-	return recs, nil
-}
-
-// armState opens the state store and restores the previous process's
-// tables. Terminal records become servable history again (their final
-// snapshots are returned verbatim); records still marked "admitted" are
-// interrupted work, returned to the caller for re-running once the
-// journal is armed. ID sequences continue from the persisted counters,
-// defensively maxed against the stored record IDs so even a lost
-// seqs.json cannot re-mint an ID a client already holds.
+// armState opens the state log and restores the previous process's
+// tables. Terminal records become servable history again; records
+// still "admitted" are interrupted work, returned to the caller for
+// re-running once the journal is armed.
 //
 // Runs inside New before the server serves anything, so the table
 // mutations need no locks.
-func (s *Server) armState() (rerunJobs []*job, rerunCampaigns []*campaignRun, err error) {
-	st, err := openStateStore(s.cfg.StateDir)
+func (s *Server) armState() (rerunJobs []*job, rerunCampaigns []*campaignRun, torn int64, err error) {
+	st, fold, err := openStateLog(s.cfg.StateDir, s.reg)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	jobSeq, campSeq, err := st.loadSeqs()
-	if err != nil {
-		return nil, nil, err
-	}
-	jrecs, err := st.loadJobs()
-	if err != nil {
-		return nil, nil, err
-	}
-	crecs, err := st.loadCampaigns()
-	if err != nil {
-		return nil, nil, err
-	}
+	st.snapshot = s.snapshotState
 	s.state = st
 
-	for _, rec := range jrecs {
-		if n := idSeq(rec.ID); n > jobSeq {
-			jobSeq = n
+	for _, id := range fold.order {
+		rec := fold.recs[id]
+		if isCampaignID(id) {
+			cr := &campaignRun{id: id, created: rec.Created, corr: rec.Corr, tenant: rec.Tenant, done: make(chan struct{})}
+			switch rec.Status {
+			case recDone, recFailed:
+				if rec.Campaign == nil {
+					return nil, nil, 0, fmt.Errorf("server: state record %s has no final snapshot", id)
+				}
+				cr.restored = rec.Campaign
+				cr.state.Store(int32(terminalState(rec.Status)))
+				close(cr.done)
+			default:
+				if rec.Spec == nil {
+					return nil, nil, 0, fmt.Errorf("server: state record %s has no spec", id)
+				}
+				camp, rerr := rec.Spec.Resolve()
+				if rerr != nil {
+					return nil, nil, 0, fmt.Errorf("server: state record %s: %v", id, rerr)
+				}
+				cr.camp = camp
+				rerunCampaigns = append(rerunCampaigns, cr)
+			}
+			s.campaigns[id] = cr
+			s.corder = append(s.corder, id)
+			continue
 		}
+		var j *job
 		switch rec.Status {
 		case recDone, recFailed:
-			j := &job{
-				id: rec.ID, created: rec.Created, corr: rec.Corr,
-				tenant: rec.Tenant, restored: rec.Final,
-				done: make(chan struct{}),
+			if rec.Job == nil {
+				return nil, nil, 0, fmt.Errorf("server: state record %s has no final snapshot", id)
 			}
-			if rec.Status == recDone {
-				j.state.Store(int32(stateDone))
-			} else {
-				j.state.Store(int32(stateFailed))
-			}
+			j = &job{id: id, restored: rec.Job, done: make(chan struct{})}
+			j.state.Store(int32(terminalState(rec.Status)))
 			close(j.done)
-			s.jobs[j.id] = j
-			s.order = append(s.order, j.id)
-		case recAdmitted:
+		default:
 			// The stored submit re-decodes through the admission path's
 			// own decoder; results are a pure function of the spec, so the
 			// re-run serves what the interrupted run would have.
 			batch, derr := DecodeSubmit(bytes.NewReader(rec.Submit), 0)
 			if derr != nil {
-				return nil, nil, fmt.Errorf("server: state record %s: %v", rec.ID, derr)
+				return nil, nil, 0, fmt.Errorf("server: state record %s: %v", id, derr)
 			}
-			j := newJob(rec.ID, batch, s.cfg.Shards, rec.Corr)
-			j.created = rec.Created
-			j.tenant = rec.Tenant
+			j = newJob(id, batch, s.cfg.Shards, rec.Corr)
 			j.submit = rec.Submit
-			s.jobs[j.id] = j
-			s.order = append(s.order, j.id)
 			rerunJobs = append(rerunJobs, j)
-		default:
-			return nil, nil, fmt.Errorf("server: state record %s has unknown status %q", rec.ID, rec.Status)
 		}
+		j.created, j.corr, j.tenant = rec.Created, rec.Corr, rec.Tenant
+		s.jobs[id] = j
+		s.order = append(s.order, id)
 	}
 
-	for _, rec := range crecs {
-		if n := idSeq(rec.ID); n > campSeq {
-			campSeq = n
-		}
-		switch rec.Status {
-		case recDone, recFailed:
-			cr := &campaignRun{
-				id: rec.ID, created: rec.Created, corr: rec.Corr,
-				tenant: rec.Tenant, restored: rec.Final,
-				done: make(chan struct{}),
-			}
-			if rec.Status == recDone {
-				cr.state.Store(int32(stateDone))
-			} else {
-				cr.state.Store(int32(stateFailed))
-			}
-			close(cr.done)
-			s.campaigns[cr.id] = cr
-			s.corder = append(s.corder, cr.id)
-		case recAdmitted:
-			camp, rerr := rec.Spec.Resolve()
-			if rerr != nil {
-				return nil, nil, fmt.Errorf("server: state record %s: %v", rec.ID, rerr)
-			}
-			cr := &campaignRun{
-				id: rec.ID, created: rec.Created, corr: rec.Corr,
-				tenant: rec.Tenant, camp: camp,
-				done: make(chan struct{}),
-			}
-			s.campaigns[cr.id] = cr
-			s.corder = append(s.corder, cr.id)
-			rerunCampaigns = append(rerunCampaigns, cr)
-		default:
-			return nil, nil, fmt.Errorf("server: state record %s has unknown status %q", rec.ID, rec.Status)
-		}
-	}
-
-	s.seq, s.cseq = jobSeq, campSeq
+	s.seq, s.cseq = fold.jobSeq, fold.campSeq
 	// A history larger than MaxJobsKept still respects the table bound;
-	// eviction forgets the trimmed records' files too.
+	// eviction appends the trimmed entries' evict frames too.
 	s.evictLocked()
 	s.evictCampaignsLocked()
-	return rerunJobs, rerunCampaigns, nil
+	return rerunJobs, rerunCampaigns, fold.torn, nil
 }
+
+// terminalState maps a terminal record status to the lifecycle state.
+func terminalState(status string) jobState {
+	if status == recDone {
+		return stateDone
+	}
+	return stateFailed
+}
+
+// snapshotState streams the live table into a log rewrite: a counters
+// frame, then every entry whose admit frame is durable, oldest first.
+// Entries whose admit frame is still buffered follow in the buffer, and
+// those of a failed batch are left out: they are being rolled back. The
+// table lock is held for one pass collecting entries; records are
+// encoded outside it, one at a time.
+func (s *Server) snapshotState(emit func(id string, body []byte) error) error {
+	s.mu.Lock()
+	counters := stateRecord{Status: recCounters, JobSeq: s.seq, CampaignSeq: s.cseq}
+	jobs := make([]*job, 0, len(s.order))
+	for _, id := range s.order {
+		if j := s.jobs[id]; s.state.committed(j.logged) {
+			jobs = append(jobs, j)
+		}
+	}
+	camps := make([]*campaignRun, 0, len(s.corder))
+	for _, id := range s.corder {
+		if cr := s.campaigns[id]; s.state.committed(cr.logged) {
+			camps = append(camps, cr)
+		}
+	}
+	s.mu.Unlock()
+
+	body, err := encodeRecord(&counters)
+	if err == nil {
+		err = emit("", body)
+	}
+	for _, j := range jobs {
+		if err != nil {
+			return err
+		}
+		if body, err = encodeRecord(j.record()); err == nil {
+			err = emit(j.id, body)
+		}
+	}
+	for _, cr := range camps {
+		if err != nil {
+			return err
+		}
+		if body, err = encodeRecord(cr.record()); err == nil {
+			err = emit(cr.id, body)
+		}
+	}
+	return err
+}
+
+// record is the job's current state-log record, ID aside.
+func (j *job) record() *stateRecord {
+	rec := &stateRecord{Status: recAdmitted, Created: j.created, Corr: j.corr, Tenant: j.tenant}
+	if !j.finished() {
+		rec.Submit = j.submit
+		return rec
+	}
+	final := j.snapshot()
+	rec.Status, rec.Job = recDone, &final
+	if jobState(j.state.Load()) == stateFailed {
+		rec.Status = recFailed
+	}
+	return rec
+}
+
+// record is the campaign's current state-log record, ID aside.
+func (cr *campaignRun) record() *stateRecord {
+	rec := &stateRecord{Status: recAdmitted, Created: cr.created, Corr: cr.corr, Tenant: cr.tenant}
+	if !cr.finished() {
+		rec.Spec = &cr.camp.Spec
+		return rec
+	}
+	final := cr.snapshot()
+	rec.Status, rec.Campaign = recDone, &final
+	if jobState(cr.state.Load()) == stateFailed {
+		rec.Status = recFailed
+	}
+	return rec
+}
+
+// isCampaignID reports whether id names a campaign (c-%06d) rather
+// than a job (j-%06d).
+func isCampaignID(id string) bool { return strings.HasPrefix(id, "c-") }
 
 // idSeq parses the numeric tail of a "j-%06d"/"c-%06d" ID (0 when
 // malformed).
@@ -390,23 +686,4 @@ func idSeq(id string) uint64 {
 	}
 	n, _ := strconv.ParseUint(id[i+1:], 10, 64)
 	return n
-}
-
-// recordPaths lists the .json records under dir in name (= ID) order,
-// skipping leftover temp files from a crash mid-write.
-func recordPaths(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("server: read state dir: %w", err)
-	}
-	var paths []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		paths = append(paths, filepath.Join(dir, name))
-	}
-	sort.Strings(paths)
-	return paths, nil
 }

@@ -5,15 +5,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"leanconsensus"
+	"leanconsensus/internal/obslog/store"
 	"leanconsensus/internal/server"
 )
 
@@ -223,31 +227,71 @@ func TestStateCampaignResumesByteIdentical(t *testing.T) {
 	}
 }
 
-// writeAdmittedJob lays out a state dir holding one "admitted" job
-// record with the given submit body, plus seq counters ending at its ID:
-// what a process that died between admission and completion leaves.
+// stateLogPath is the state log inside a state dir.
+func stateLogPath(dir string) string { return filepath.Join(dir, "state.log") }
+
+// writeAdmittedJob lays out a state dir whose log holds one admit frame
+// for a job with the given submit body: what a process that died
+// between admission and completion leaves.
 func writeAdmittedJob(t *testing.T, dir, id, tenant, submit string) {
 	t.Helper()
-	for _, d := range []string{"jobs", "campaigns", "checkpoints"} {
-		if err := os.MkdirAll(filepath.Join(dir, d), 0o755); err != nil {
-			t.Fatal(err)
+	rec := fmt.Sprintf(`{"id":%q,"status":"admitted","created":"2026-08-08T12:00:00Z","tenant":%q,"submit":%s}`, id, tenant, submit)
+	if err := os.WriteFile(stateLogPath(dir), store.AppendFrame(nil, []byte(rec)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// stateFrame is the part of a state-log record the tests read, and
+// the frame's offset in the log.
+type stateFrame struct {
+	ID     string `json:"id"`
+	Status string `json:"status"`
+	at     int64
+}
+
+// readStateLog decodes every frame of the state log, failing on a torn
+// or corrupt one: every CRC must hold.
+func readStateLog(t *testing.T, dir string) []stateFrame {
+	t.Helper()
+	f, err := os.Open(stateLogPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out []stateFrame
+	fr := store.NewFrameReader(f, 64<<20)
+	for {
+		rec := stateFrame{at: fr.Offset()}
+		payload, err := fr.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("state log frame at offset %d: %v", rec.at, err)
+		}
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			t.Fatalf("state log frame at offset %d: %v", rec.at, err)
+		}
+		out = append(out, rec)
+	}
+}
+
+// foldStateLog folds the state log the way boot does: the last record
+// per ID wins and an evict removes the ID. It returns each live ID's
+// status.
+func foldStateLog(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	live := map[string]string{}
+	for _, rec := range readStateLog(t, dir) {
+		switch rec.Status {
+		case "counters":
+		case "evicted":
+			delete(live, rec.ID)
+		default:
+			live[rec.ID] = rec.Status
 		}
 	}
-	rec := fmt.Sprintf(`{
-  "version": 1,
-  "id": %q,
-  "created": "2026-08-08T12:00:00Z",
-  "tenant": %q,
-  "submit": %s,
-  "status": "admitted"
-}`, id, tenant, submit)
-	if err := os.WriteFile(filepath.Join(dir, "jobs", id+".json"), []byte(rec), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	seqs := fmt.Sprintf(`{"version": 1, "jobSeq": %d, "campaignSeq": 0}`, idNum(t, id))
-	if err := os.WriteFile(filepath.Join(dir, "seqs.json"), []byte(seqs), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return live
 }
 
 // TestStateInterruptedJobRerunsAtBoot simulates a crash: a state dir
@@ -319,62 +363,143 @@ func TestStateInterruptedJobRerunsUnderNewShards(t *testing.T) {
 	}
 }
 
-// TestStateAdmissionRollbackRemovesRecord: when the seqs write fails
-// after the admission record was already written, the 500's rollback
-// must undo the record too — an orphaned "admitted" file would re-run
-// at the next boot as work the client was told was never admitted.
+// failSyncs is a state-log fsync seam that fails chosen calls with EIO
+// and records every file it syncs, in call order.
+type failSyncs struct {
+	mu         sync.Mutex
+	skip, left int
+	files      []*os.File
+	failed     []int // indexes into files
+}
+
+// arm lets the next skip fsyncs through and fails the n after them.
+func (f *failSyncs) arm(skip, n int) {
+	f.mu.Lock()
+	f.skip, f.left = skip, n
+	f.mu.Unlock()
+}
+
+func (f *failSyncs) sync(file *os.File) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.files = append(f.files, file)
+	if f.skip > 0 {
+		f.skip--
+	} else if f.left > 0 {
+		f.left--
+		f.failed = append(f.failed, len(f.files)-1)
+		return syscall.EIO
+	}
+	return file.Sync()
+}
+
+// failures counts the fsyncs the seam failed.
+func (f *failSyncs) failures() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.failed)
+}
+
+// resyncedFailedFile reports a file the seam synced again after its
+// fsync had failed.
+func (f *failSyncs) resyncedFailedFile() *os.File {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, i := range f.failed {
+		for _, later := range f.files[i+1:] {
+			if later == f.files[i] {
+				return later
+			}
+		}
+	}
+	return nil
+}
+
+// TestStateAdmissionRollbackRemovesRecord: an admission whose commit
+// fails answers 500 and is rolled back — its reservation returned, its
+// frame absent from the log the rewrite leaves — so it never re-runs at
+// the next boot as work the client was told was never admitted. The
+// failed IDs stay unused, in this process and the next: the fsync runs
+// outside the table lock, so a concurrent admission may already hold a
+// later ID, and re-minting a failed one is never needed.
 func TestStateAdmissionRollbackRemovesRecord(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
-	srv, client, _ := newStateServer(t, dir, server.Config{})
+	srv, client, stop := newStateServer(t, dir, server.Config{})
+	faults := &failSyncs{}
+	server.SetStateSync(srv, faults.sync)
 
-	// A directory where seqs.json belongs fails the atomic write's
-	// rename, after the job/campaign record was written successfully.
-	if err := os.Mkdir(filepath.Join(dir, "seqs.json"), 0o755); err != nil {
+	ok, err := client.SubmitJobs(ctx, leanconsensus.JobSpec{N: 2, Instances: 5, Seed: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
+	finishJob(t, client, ok)
+
 	var ae *leanconsensus.APIError
-	_, err := client.SubmitJobs(ctx, leanconsensus.JobSpec{N: 2, Instances: 5, Seed: 1})
+	faults.arm(0, 1)
+	_, err = client.SubmitJobs(ctx, leanconsensus.JobSpec{N: 2, Instances: 5, Seed: 1})
 	if !errors.As(err, &ae) || ae.StatusCode != 500 {
-		t.Fatalf("job submit with a failing seqs write: %v, want 500", err)
+		t.Fatalf("job submit with a failing commit: %v, want 500", err)
 	}
+	faults.arm(0, 1)
 	_, err = client.SubmitCampaign(ctx, leanconsensus.CampaignSpec{Ns: []int{2}, Reps: 1})
 	if !errors.As(err, &ae) || ae.StatusCode != 500 {
-		t.Fatalf("campaign submit with a failing seqs write: %v, want 500", err)
+		t.Fatalf("campaign submit with a failing commit: %v, want 500", err)
 	}
-	for _, sub := range []string{"jobs", "campaigns"} {
-		recs, err := filepath.Glob(filepath.Join(dir, sub, "*.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) != 0 {
-			t.Errorf("rolled-back admission left %s records on disk: %v", sub, recs)
-		}
+	if live := foldStateLog(t, dir); len(live) != 1 || live[ok] != "done" {
+		t.Errorf("log after the rollbacks folds to %v, want only %s done", live, ok)
 	}
 	if q := srv.QueuedInstances(); q != 0 {
 		t.Errorf("rolled-back admissions left %d instances reserved", q)
 	}
-
-	// With the fault cleared, the rolled-back sequence numbers are
-	// re-minted from scratch: the failed admissions never happened.
-	if err := os.Remove(filepath.Join(dir, "seqs.json")); err != nil {
-		t.Fatal(err)
+	if bad := faults.resyncedFailedFile(); bad != nil {
+		t.Errorf("the log fsynced %s again after its fsync failed", bad.Name())
 	}
-	id, err := client.SubmitJobs(ctx, leanconsensus.JobSpec{N: 2, Instances: 5, Seed: 1})
+
+	// The failed admissions minted j-000002 and c-000001; they resolve
+	// nowhere, and every later ID is larger, before and after a restart.
+	checkUnused := func(c *leanconsensus.Client) {
+		t.Helper()
+		if _, err := c.Job(ctx, "j-000002"); err == nil {
+			t.Error("failed job ID j-000002 resolves")
+		}
+		if _, err := c.Campaign(ctx, "c-000001"); err == nil {
+			t.Error("failed campaign ID c-000001 resolves")
+		}
+	}
+	checkUnused(client)
+	stop()
+
+	_, client2, _ := newStateServer(t, dir, server.Config{})
+	checkUnused(client2)
+	if _, err := client2.Job(ctx, ok); err != nil {
+		t.Errorf("admitted job %s lost across the rollback and restart: %v", ok, err)
+	}
+	next, err := client2.SubmitJobs(ctx, leanconsensus.JobSpec{N: 2, Instances: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != "j-000001" {
-		t.Errorf("first successful admission minted %s, want j-000001", id)
+	if next != "j-000003" {
+		t.Errorf("restarted server minted %s, want j-000003 past the failed j-000002", next)
 	}
-	if _, err := client.WaitJob(ctx, id); err != nil {
+	cid, err := client2.SubmitCampaign(ctx, leanconsensus.CampaignSpec{Ns: []int{2}, Reps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cid != "c-000002" {
+		t.Errorf("restarted server minted %s, want c-000002 past the failed c-000001", cid)
+	}
+	if _, err := client2.WaitJob(ctx, next); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client2.WaitCampaign(ctx, cid); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestStateEvictionForgetsRecords: once the table bound evicts a
-// finished job, a restart must not resurrect it — the record is deleted
-// with the entry.
+// finished job, a restart must not resurrect it — an evict frame
+// forgets the record with the entry.
 func TestStateEvictionForgetsRecords(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -393,12 +518,8 @@ func TestStateEvictionForgetsRecords(t *testing.T) {
 	}
 	stop()
 
-	recs, err := filepath.Glob(filepath.Join(dir, "jobs", "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) > 2 {
-		t.Fatalf("eviction left %d records for a table bound of 2: %v", len(recs), recs)
+	if live := foldStateLog(t, dir); len(live) > 2 {
+		t.Fatalf("eviction left %d folded records for a table bound of 2: %v", len(live), live)
 	}
 
 	_, client2, _ := newStateServer(t, dir, server.Config{MaxJobsKept: 2})
