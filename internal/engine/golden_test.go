@@ -13,6 +13,7 @@ import (
 	"leanconsensus/internal/engine"
 	"leanconsensus/internal/hybrid"
 	"leanconsensus/internal/machine"
+	"leanconsensus/internal/msgnet"
 	"leanconsensus/internal/register"
 	"leanconsensus/internal/sched"
 	"leanconsensus/internal/trace"
@@ -45,6 +46,186 @@ func TestEngineGolden(t *testing.T) {
 	goldenRawHybrid(d)
 	if got := d.sum(); got != goldenSHA256 {
 		t.Fatalf("engine output digest %s, want %s: sched or hybrid output changed", got, goldenSHA256)
+	}
+}
+
+// msgnetGoldenSHA256 is the digest of the msgnet battery below. It pins
+// the message-passing engine's output — results, traces, errors and the
+// network's delivery counts — across commits, under the same rule as
+// goldenSHA256.
+const msgnetGoldenSHA256 = "8635883fe2839689da07c649495c830f59a9edfa5d8b0c311619d6f026e4aed4"
+
+// msgnetGoldenNs are the instance sizes the msgnet battery runs at.
+var msgnetGoldenNs = []int{1, 2, 3, 5, 8, 16}
+
+// TestMsgnetGolden hashes a fixed battery of msgnet runs and compares the
+// digest with msgnetGoldenSHA256. The battery covers pooled sessions
+// traced and untraced over every registered noise distribution except
+// constant; direct msgnet.Sim runs with crashes, link delays and the
+// bounded (RMax > 0) protocol; one Network whose process crashes mid-run;
+// and constant noise under a small message cap, whose runaway error is
+// hashed. Two-point, lower-bound and geometric noise put many deliveries
+// at exactly the same time, so only the send order separates them.
+func TestMsgnetGolden(t *testing.T) {
+	d := &digest{h: sha256.New()}
+	goldenMsgnetSessions(t, d)
+	goldenMsgnetSims(d)
+	goldenMsgnetCrashAt(t, d)
+	if got := d.sum(); got != msgnetGoldenSHA256 {
+		t.Fatalf("msgnet output digest %s, want %s: msgnet output changed", got, msgnetGoldenSHA256)
+	}
+}
+
+// goldenNoises returns every registered distribution except constant.
+func goldenNoises(t *testing.T) []dist.Distribution {
+	var noises []dist.Distribution
+	for _, name := range dist.Names() {
+		if name == "constant" {
+			continue
+		}
+		noise, err := dist.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		noises = append(noises, noise)
+	}
+	return noises
+}
+
+// goldenMsgnetSessions runs the msgnet model on one pooled session per
+// traced setting, as the arena's workers do.
+func goldenMsgnetSessions(t *testing.T, d *digest) {
+	m, err := engine.ByName("msgnet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, traced := range []bool{false, true} {
+		sess := engine.NewSession()
+		var rec *trace.Recorder
+		if traced {
+			rec = trace.NewRecorder(1 << 14)
+			sess.SetTrace(rec)
+		}
+		for _, noise := range goldenNoises(t) {
+			for _, n := range msgnetGoldenNs {
+				// n=16 delivers ~100k messages an instance; one rep
+				// keeps the battery to seconds.
+				reps := 2
+				if n >= 16 {
+					reps = 1
+				}
+				for rep := 0; rep < reps; rep++ {
+					seed := uint64(n)*1000 + uint64(rep)
+					if rec != nil {
+						rec.Reset()
+					}
+					r, err := m.Run(engine.Spec{
+						Key: "golden", N: n, Inputs: goldenInputs(n, seed), Noise: noise, Seed: seed,
+					}, sess)
+					d.str("msgnet|" + noise.String())
+					d.i64(int64(n))
+					d.err(err)
+					d.i64(int64(r.Value))
+					d.i64(int64(r.FirstRound))
+					d.i64(int64(r.LastRound))
+					d.i64(r.Ops)
+					d.f64(r.SimTime)
+					d.trace(rec)
+				}
+			}
+		}
+	}
+}
+
+// goldenMsgnetSims drives one reused msgnet.Sim through the options the
+// engine layer never sets: crashes, link delays, the bounded protocol,
+// and a message cap that stops lockstep constant noise.
+func goldenMsgnetSims(d *digest) {
+	sim := msgnet.NewSim()
+	rec := trace.NewRecorder(1 << 14)
+	skew := func(from, to int) float64 { return 0.25 * float64((from*3+to)%4) }
+	cases := []struct {
+		name   string
+		noise  dist.Distribution
+		crash  []int
+		link   func(from, to int) float64
+		rmax   int
+		maxMsg int64
+		ns     []int
+	}{
+		{name: "crash", noise: dist.Exponential{MeanVal: 1}, crash: []int{0}, ns: []int{3, 5, 8}},
+		{name: "crash-two", noise: dist.TwoPoint{A: 1, B: 2}, crash: []int{1, 4}, ns: []int{5, 8}},
+		{name: "link", noise: dist.Uniform{Lo: 0, Hi: 2}, link: skew, ns: []int{2, 3, 5, 8}},
+		{name: "link-ties", noise: dist.Geometric{P: 0.5}, link: skew, crash: []int{2}, ns: []int{3, 8}},
+		{name: "bounded", noise: dist.Exponential{MeanVal: 1}, rmax: 2, ns: []int{1, 3, 5, 8}},
+		{name: "bounded-ties", noise: dist.TwoPoint{A: 1, B: 2}, rmax: 1, crash: []int{0}, ns: []int{3, 5}},
+		{name: "constant-cap", noise: dist.Constant{V: 1}, maxMsg: 4000, ns: []int{2, 3, 5}},
+	}
+	for _, c := range cases {
+		for _, n := range c.ns {
+			for rep := 0; rep < 2; rep++ {
+				seed := uint64(n)*7919 + uint64(rep)
+				rec.Reset()
+				res, err := sim.Run(msgnet.ConsensusConfig{
+					Inputs: goldenInputs(n, seed), Delay: c.noise, LinkDelay: c.link, Crash: c.crash,
+					RMax: c.rmax, Seed: seed, MaxMessages: c.maxMsg, Trace: rec,
+				})
+				d.str("msgnet-sim|" + c.name)
+				d.i64(int64(n))
+				d.err(err)
+				if err == nil {
+					d.i64(int64(res.Value))
+					d.ints(res.Decisions)
+					d.i64(int64(res.Rounds))
+					d.i64(res.RegisterOps)
+					d.i64(res.Messages)
+					d.f64(res.Time)
+				}
+				d.trace(rec)
+			}
+		}
+	}
+}
+
+// goldenMsgnetCrashAt runs ABD nodes on a bare Network whose process 1
+// crashes mid-run, so deliveries to it are dropped from then on.
+func goldenMsgnetCrashAt(t *testing.T, d *digest) {
+	const n = 5
+	for rep := 0; rep < 3; rep++ {
+		seed := uint64(rep) + 17
+		ms, _ := goldenLean(goldenInputs(n, seed))
+		nodes := make([]msgnet.Node, n)
+		abds := make([]*msgnet.ABDNode, n)
+		for i := range nodes {
+			abds[i] = msgnet.NewABDNode(i, n, ms[i])
+			abds[i].Preload(register.Layout{}.A(0, 0), 1)
+			abds[i].Preload(register.Layout{}.A(1, 0), 1)
+			nodes[i] = abds[i]
+		}
+		net, err := msgnet.NewNetwork(msgnet.Config{
+			Nodes: nodes, Delay: dist.Exponential{MeanVal: 1},
+			CrashAt: map[int]float64{1: 2.5 + float64(rep), 3: -1}, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := net.Run()
+		d.str("msgnet-crashat")
+		d.err(err)
+		if err == nil {
+			d.i64(res.Delivered)
+			d.i64(res.Dropped)
+			d.f64(res.Time)
+			d.bool(res.AllDone)
+		}
+		for _, a := range abds {
+			d.bool(a.Decided())
+			d.i64(a.Ops())
+			d.i64(a.Messages())
+			if a.Decided() {
+				d.i64(int64(a.Decision()))
+			}
+		}
 	}
 }
 
