@@ -1,11 +1,11 @@
 // Command leanperf records the repository's performance trajectory: a
 // fixed suite of probes — engine model runs (fresh, and on a pooled
-// session at n=64), arena service throughput
-// (plain and with the flight recorder armed), a campaign sweep, and the
-// cell-batched campaign path — measured for throughput, ns/op,
-// allocs/op, and wall-clock latency
-// percentiles, written as one BENCH_<n>.json snapshot per PR and gated
-// against the previous snapshot.
+// session: sched and hybrid at n=64, msgnet at n=8), arena service
+// throughput (plain and with the flight recorder armed), a campaign
+// sweep, and the cell-batched campaign path — measured for throughput,
+// ns/op, allocs/op, and wall-clock latency percentiles, written as one
+// BENCH_<n>.json snapshot per PR and gated against the previous
+// snapshot.
 //
 // Usage:
 //
@@ -327,6 +327,7 @@ var probes = []struct {
 	{"engine/msgnet", probeEngine("msgnet", 4, false, 300, 3000, 10000)},
 	{"engine/sched-pooled", probeEngine("sched", 64, true, 300, 3000, 15000)},
 	{"engine/hybrid-pooled", probeEngine("hybrid", 64, true, 2000, 20000, 100000)},
+	{"engine/msgnet-pooled", probeEngine("msgnet", 8, true, 200, 2000, 10000)},
 	{"arena/throughput", probeArena(nil, 4000, 40000, 200000)},
 	{"arena/traced", probeArena(&arena.TraceConfig{PerShard: 2}, 4000, 40000, 200000)},
 	{"campaign/sweep", probeCampaign},

@@ -1,9 +1,12 @@
 package leanconsensus_test
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"leanconsensus"
+	"leanconsensus/internal/msgnet"
 )
 
 func TestElectBasic(t *testing.T) {
@@ -46,6 +49,24 @@ func TestSimulateMessagePassingBasic(t *testing.T) {
 	}
 	if res.Messages == 0 {
 		t.Error("no messages counted")
+	}
+}
+
+// TestSimulateMessagePassingRejectsBadDelay: a delay distribution that
+// draws a negative or NaN delivery delay is caller input, so the run
+// fails with an error instead of a panic.
+func TestSimulateMessagePassingRejectsBadDelay(t *testing.T) {
+	for _, delay := range []leanconsensus.Distribution{
+		leanconsensus.Uniform(-1, 1),
+		leanconsensus.Uniform(math.NaN(), 1),
+	} {
+		res, err := leanconsensus.SimulateMessagePassing(leanconsensus.MessagePassingConfig{
+			Inputs: []int{0, 1, 0},
+			Delay:  delay,
+		})
+		if !errors.Is(err, msgnet.ErrBadConfig) {
+			t.Errorf("delay %v: got result %+v, error %v; want an error wrapping msgnet.ErrBadConfig", delay, res, err)
+		}
 	}
 }
 

@@ -9,12 +9,13 @@ import (
 )
 
 // TestMsgnetPooledAllocs guards the msgnet session pooling win: a pooled
-// session retains the ABD nodes, replica maps, machines, network heap,
-// RNG streams, and the message-payload pool (requests refcounted across
-// their n broadcast deliveries, responses released on receipt), so a warm
-// run allocates almost nothing — measured ~1 per run averaged over seeds,
-// where the unpooled path paid ~2700. The bound leaves room for pool
-// growth when a seed draws an unusually long schedule, nothing more.
+// session retains the ABD nodes, replica maps, machines, network queue
+// and slab, RNG streams, and the message-payload pool (requests
+// refcounted across their n broadcast deliveries, responses released on
+// receipt), so a warm run allocates almost nothing — measured ~1 per run
+// averaged over seeds, where the unpooled path paid ~2700. The bound
+// leaves room for pool growth when a seed draws an unusually long
+// schedule, nothing more.
 func TestMsgnetPooledAllocs(t *testing.T) {
 	m, err := engine.ByName("msgnet")
 	if err != nil {

@@ -1,11 +1,16 @@
 package engine_test
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"leanconsensus/internal/dist"
 	"leanconsensus/internal/engine"
+	"leanconsensus/internal/msgnet"
 )
 
 func specFor(n int, i int) engine.Spec {
@@ -147,6 +152,71 @@ func TestSessionSurvivesSizeChanges(t *testing.T) {
 		}
 		if pooled != fresh {
 			t.Fatalf("n=%d diverged: %+v vs %+v", n, pooled, fresh)
+		}
+	}
+}
+
+// badAfter is a noise distribution whose first k samples are
+// exponential and every later one is v, so a run fails mid-flight: a
+// msgnet run with messages and payload boxes still in flight, a sched run
+// with completions still queued.
+type badAfter struct {
+	k *int
+	v float64
+}
+
+func (d badAfter) Sample(rng *rand.Rand) float64 {
+	if *d.k <= 0 {
+		return d.v
+	}
+	*d.k--
+	return rng.ExpFloat64()
+}
+
+func (d badAfter) String() string { return fmt.Sprintf("bad-after(%g)", d.v) }
+
+// TestBadNoiseLeavesSessionClean: a run that draws a negative msgnet
+// delivery delay or a NaN sched completion time mid-flight fails with a
+// config error, and the same pooled session then runs valid specs
+// bit-identically to a fresh one.
+func TestBadNoiseLeavesSessionClean(t *testing.T) {
+	for _, tc := range []struct {
+		model string
+		ks    []int // samples drawn before the bad one
+		v     float64
+		is    func(error) bool
+	}{
+		{"msgnet", []int{0, 40, 400}, -1, func(err error) bool { return errors.Is(err, msgnet.ErrBadConfig) }},
+		{"msgnet", []int{0, 40, 400}, math.NaN(), func(err error) bool { return errors.Is(err, msgnet.ErrBadConfig) }},
+		{"sched", []int{0, 10, 40}, math.NaN(), func(err error) bool {
+			return err != nil && strings.HasPrefix(err.Error(), "sched: invalid config: NaN completion time")
+		}},
+	} {
+		m, err := engine.ByName(tc.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := engine.NewSession()
+		for i, k := range tc.ks {
+			bad := specFor(5, i)
+			bad.Noise = badAfter{k: &k, v: tc.v}
+			if _, err := m.Run(bad, sess); !tc.is(err) {
+				t.Fatalf("%s: noise %g after %d samples: error %v, want a config error", tc.model, tc.v, k, err)
+			}
+			for _, n := range []int{5, 8} {
+				spec := specFor(n, 10+i)
+				pooled, err := m.Run(spec, sess)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := m.Run(spec, engine.NewSession())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pooled != fresh {
+					t.Fatalf("%s: after a failed run, n=%d pooled %+v differs from fresh %+v", tc.model, n, pooled, fresh)
+				}
+			}
 		}
 	}
 }

@@ -165,12 +165,13 @@ type MsgNet struct{}
 func (*MsgNet) Name() string { return "msgnet" }
 
 // Run implements Model. With a session, the run reuses the session's
-// pooled msgnet.Sim — nodes, replica maps, machines, network heap, RNG
-// streams, and reply-payload pool all survive across instances, which is
-// what cuts the model's per-run allocations by an order of magnitude
-// (BenchmarkEngineSession's msgnet pair). MsgNet does not implement
-// Adversarial — the emulated network has no Δ-schedule hook — so a spec
-// naming an adversary is rejected with the typed error here.
+// pooled msgnet.Sim — nodes, replica maps, machines, network queue and
+// slab, RNG streams, and reply-payload pool all survive across
+// instances, which is what cuts the model's per-run allocations by an
+// order of magnitude (BenchmarkEngineSession's msgnet pair). MsgNet does
+// not implement Adversarial — the emulated network has no Δ-schedule
+// hook — so a spec naming an adversary is rejected with the typed error
+// here.
 func (m *MsgNet) Run(spec Spec, s *Session) (Result, error) {
 	if err := spec.validate(); err != nil {
 		return Result{}, err

@@ -116,7 +116,7 @@ type ABDNode struct {
 	messages int64
 
 	// out is the node's outgoing-message scratch: every handler builds
-	// its batch here and the network copies the messages into its heap
+	// its batch here and the network copies the messages into its slab
 	// before the next handler runs, so one buffer per node suffices and
 	// broadcasts allocate nothing in steady state.
 	out []Message

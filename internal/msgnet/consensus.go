@@ -72,12 +72,13 @@ func Consensus(cfg ConsensusConfig) (*ConsensusResult, error) {
 
 // Sim is a reusable message-passing consensus runner: the pooled
 // analogue of engine.Session for this model. One Sim retains the nodes,
-// their replica maps, the lean machines, the network (event heap + RNG
-// streams), the reply-payload pool, and the result buffer across runs,
-// so steady-state reruns allocate only per-broadcast payload boxes and
-// whatever the map implementation churns. Every pooled structure resets
-// to exactly its freshly-constructed state, so a Sim's results are
-// bit-identical to Consensus. A Sim is not safe for concurrent use.
+// their replica maps, the lean machines, the network (event queue,
+// message slab, RNG streams), the reply-payload pool, and the result
+// buffer across runs, so steady-state reruns allocate only per-broadcast
+// payload boxes and whatever the map implementation churns. Every pooled
+// structure resets to exactly its freshly-constructed state, so a Sim's
+// results are bit-identical to Consensus. A Sim is not safe for
+// concurrent use.
 type Sim struct {
 	nodes []Node
 	abds  []*ABDNode

@@ -17,9 +17,11 @@ package msgnet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"leanconsensus/internal/dist"
+	"leanconsensus/internal/eventq"
 	"leanconsensus/internal/xrand"
 )
 
@@ -75,73 +77,31 @@ type Result struct {
 	AllDone bool
 }
 
-// event is one pending delivery (or node start when Payload == nil and
-// From < 0).
-type event struct {
-	t   float64
-	seq int64
-	msg Message
-}
-
-type netHeap []event
-
-func (h netHeap) less(a, b event) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
-}
-
-func (h *netHeap) push(ev event) {
-	*h = append(*h, ev)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less((*h)[i], (*h)[parent]) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *netHeap) pop() event {
-	old := *h
-	top := old[0]
-	last := len(old) - 1
-	old[0] = old[last]
-	*h = old[:last]
-	i, n := 0, last
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.less((*h)[l], (*h)[small]) {
-			small = l
-		}
-		if r < n && h.less((*h)[r], (*h)[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
-	}
-	return top
-}
-
-// Network runs a message-passing simulation. A Network is reusable:
-// Reset re-arms it for a new configuration while keeping the event heap
-// and per-process RNG streams pooled, so steady-state reruns (the
-// engine's session path) allocate nothing here.
+// Network runs a message-passing simulation. Every message in flight
+// sits in a slab slot with its delivery time, and the event queue files
+// it by (delivery time, send sequence) with ref = its slot. The send
+// sequence is unique per message, so the order is strict and total, and
+// messages due at exactly the same time arrive in send order.
+//
+// A Network is reusable: Reset re-arms it for a new configuration while
+// keeping the queue, the slab and the per-process RNG streams pooled, so
+// steady-state reruns (the engine's session path) allocate nothing here.
 type Network struct {
 	cfg   Config
-	heap  netHeap
+	queue eventq.Queue
+	slab  []flight // messages in flight, indexed by the queue's ref
+	free  []uint32 // slab slots whose message was delivered or dropped
 	srcs  []*xrand.Source
 	rngs  []*rand.Rand
-	seq   int64
+	seq   uint32 // send sequence of the last message, the queue's key
 	now   float64
 	stats Result
+}
+
+// flight is one message in flight and its delivery time.
+type flight struct {
+	t   float64
+	msg Message
 }
 
 // ErrBadConfig reports an invalid Config.
@@ -167,7 +127,18 @@ func (n *Network) Reset(cfg Config) error {
 		return fmt.Errorf("%w: Delay distribution required", ErrBadConfig)
 	}
 	n.cfg = cfg
-	n.heap = n.heap[:0]
+	// Room for 2n² messages in flight, so a fresh run grows neither the
+	// queue nor the slab: ABD keeps at most one broadcast of n messages
+	// per node in its current phase, plus stragglers from earlier ones.
+	capacity := 2 * len(cfg.Nodes) * len(cfg.Nodes)
+	n.queue.Reset(capacity)
+	if cap(n.slab) < capacity {
+		n.slab = make([]flight, 0, capacity)
+		n.free = make([]uint32, 0, capacity)
+	} else {
+		n.slab = n.slab[:0]
+		n.free = n.free[:0]
+	}
 	n.seq = 0
 	n.now = 0
 	n.stats = Result{}
@@ -185,15 +156,17 @@ func (n *Network) Reset(cfg Config) error {
 
 // crashed reports whether process i has crashed by time t.
 func (n *Network) crashed(i int, t float64) bool {
-	if n.cfg.CrashAt == nil {
-		return false
+	if len(n.cfg.CrashAt) == 0 {
+		return false // Sim always passes a map, empty unless it crashes someone
 	}
 	ct, ok := n.cfg.CrashAt[i]
 	return ok && ct >= 0 && t >= ct
 }
 
-// send enqueues outgoing messages from process `from` at time t.
-func (n *Network) send(from int, t float64, msgs []Message) {
+// send files the messages process from sends at time t. With atRoot set,
+// the queue's root is the delivery being handled: the first message
+// replaces it with one sift-down, and an empty batch pops it.
+func (n *Network) send(from int, t float64, msgs []Message, atRoot bool) error {
 	for _, m := range msgs {
 		if m.To < 0 || m.To >= len(n.cfg.Nodes) {
 			panic(fmt.Sprintf("msgnet: message to unknown process %d", m.To))
@@ -203,12 +176,39 @@ func (n *Network) send(from int, t float64, msgs []Message) {
 		if n.cfg.LinkDelay != nil {
 			d += n.cfg.LinkDelay(from, m.To)
 		}
-		if d < 0 {
-			panic("msgnet: negative delivery delay")
+		if !(d >= 0) {
+			return fmt.Errorf("%w: delivery delay %v from process %d to %d", ErrBadConfig, d, from, m.To)
+		}
+		if n.seq == math.MaxUint32 {
+			return fmt.Errorf("msgnet: more than %d messages sent; runaway protocol?", n.seq)
 		}
 		n.seq++
-		n.heap.push(event{t: t + d, seq: n.seq, msg: m})
+		at := t + d
+		slot := n.hold(at, m)
+		if atRoot {
+			n.queue.FixTop(at, n.seq, slot)
+			atRoot = false
+		} else {
+			n.queue.Push(at, n.seq, slot)
+		}
 	}
+	if atRoot {
+		n.queue.Pop()
+	}
+	return nil
+}
+
+// hold puts a message due at time t in a free slab slot and returns the
+// slot.
+func (n *Network) hold(t float64, m Message) uint32 {
+	if k := len(n.free); k > 0 {
+		slot := n.free[k-1]
+		n.free = n.free[:k-1]
+		n.slab[slot] = flight{t: t, msg: m}
+		return slot
+	}
+	n.slab = append(n.slab, flight{t: t, msg: m})
+	return uint32(len(n.slab) - 1)
 }
 
 // Run executes the simulation until quiescence.
@@ -228,27 +228,34 @@ func (n *Network) Run() (*Result, error) {
 		if n.crashed(i, t) {
 			continue
 		}
-		n.send(i, t, node.Start())
+		if err := n.send(i, t, node.Start(), false); err != nil {
+			return nil, err
+		}
 	}
 
-	for len(n.heap) > 0 {
-		ev := n.heap.pop()
-		n.now = ev.t
-		n.stats.Time = ev.t
+	for n.queue.Len() > 0 {
+		_, slot := n.queue.Top()
+		t, msg := n.slab[slot].t, n.slab[slot].msg
+		n.free = append(n.free, slot)
+		n.now = t
+		n.stats.Time = t
 		// Messages already in flight when the sender crashes are still
 		// delivered (the network is not the failed component); only a
 		// crashed receiver loses messages.
-		to := ev.msg.To
-		if n.crashed(to, ev.t) {
+		if n.crashed(msg.To, t) {
 			n.stats.Dropped++
+			n.queue.Pop()
 			continue
 		}
 		n.stats.Delivered++
 		if n.stats.Delivered > maxMessages {
 			return nil, fmt.Errorf("msgnet: more than %d messages; runaway protocol?", maxMessages)
 		}
-		out := n.cfg.Nodes[to].Receive(ev.msg)
-		n.send(to, ev.t, out)
+		// The delivery stays at the root until the receiver's first
+		// message takes its place.
+		if err := n.send(msg.To, t, n.cfg.Nodes[msg.To].Receive(msg), true); err != nil {
+			return nil, err
+		}
 	}
 
 	n.stats.AllDone = true

@@ -3,9 +3,11 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"leanconsensus/internal/dist"
+	"leanconsensus/internal/eventq"
 	"leanconsensus/internal/machine"
 	"leanconsensus/internal/register"
 	"leanconsensus/internal/trace"
@@ -159,73 +161,6 @@ func (r *Result) Agreement() (value int, ok bool) {
 	return value, true
 }
 
-// event is one pending operation completion.
-type event struct {
-	t    float64
-	proc int32
-}
-
-// before orders events by (t, proc). Ties on t are broken by process
-// index; with dithered starts ties occur with probability zero, so the
-// tie-break only pins down determinism. Because every live process has
-// exactly one pending event, the order is strict and total, so the
-// sequence of minima does not depend on how the heap is arranged.
-func (a event) before(b event) bool {
-	return a.t < b.t || (a.t == b.t && a.proc < b.proc)
-}
-
-// eventHeap is a binary min-heap of pending completions, one per live
-// process, ordered by event.before.
-type eventHeap []event
-
-// push adds ev, moving a hole up from the new leaf instead of swapping.
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !ev.before(q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
-	}
-	q[i] = ev
-}
-
-// fixTop replaces the minimum with ev and restores the heap order with a
-// single sift-down, moving a hole from the root instead of swapping.
-func (h eventHeap) fixTop(ev event) {
-	n := len(h)
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && h[r].before(h[c]) {
-			c = r
-		}
-		if !h[c].before(ev) {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = ev
-}
-
-// pop removes the minimum.
-func (h *eventHeap) pop() {
-	last := len(*h) - 1
-	ev := (*h)[last]
-	*h = (*h)[:last]
-	if last > 0 {
-		h.fixTop(ev)
-	}
-}
-
 // procState is the engine's per-process bookkeeping. The src/rng pair
 // survives Reset so that a pooled engine reuses its rand.Rand allocations
 // across runs; everything else is per-run state.
@@ -256,7 +191,7 @@ type Engine struct {
 	cfg        Config
 	mem        register.Mem
 	procs      []procState
-	heap       eventHeap
+	queue      eventq.Queue // one pending completion per live process, key = process
 	adv        Adversary
 	wNoise     dist.Distribution
 	contention *contentionState
@@ -367,20 +302,22 @@ func (e *Engine) noise(p *procState, kind register.OpKind) float64 {
 // advance computes S_{i,j+1}, the completion time of process i's next
 // operation, into its time field, or halts the process if the failure
 // coin or the crasher strikes. It reports whether the process is still
-// live; the caller files the new completion in the event heap.
-func (e *Engine) advance(i int) bool {
+// live; the caller files the new completion in the event queue. Noise
+// that makes the time NaN is a config error: NaN has no place in the
+// queue's order.
+func (e *Engine) advance(i int) (bool, error) {
 	p := &e.procs[i]
 	p.j++
 	if e.cfg.FailureProb > 0 && p.rng.Float64() < e.cfg.FailureProb {
 		// H_ij = ∞: the process halts before this operation.
 		p.halted = true
 		e.traceHalt(p, i)
-		return false
+		return false, nil
 	}
 	if e.cfg.Crasher != nil && e.cfg.Crasher(i, p.j, (*engineView)(e)) {
 		p.halted = true
 		e.traceHalt(p, i)
-		return false
+		return false, nil
 	}
 	d := e.adv.StepDelay(i, p.j, (*engineView)(e))
 	if !validDelay(d, e.adv.Bound()) {
@@ -393,7 +330,10 @@ func (e *Engine) advance(i int) bool {
 		p.lastDelay = d
 	}
 	p.time += d + e.noise(p, p.next.Kind)
-	return true
+	if math.IsNaN(p.time) {
+		return false, fmt.Errorf("%w: NaN completion time for process %d at step %d", errBadConfig, i, p.j)
+	}
+	return true, nil
 }
 
 // traceHalt records a process death at its last completed-operation time.
@@ -440,11 +380,7 @@ func (e *Engine) RunInto(res *Result) error {
 	} else {
 		e.procs = make([]procState, n)
 	}
-	if cap(e.heap) >= n {
-		e.heap = e.heap[:0]
-	} else {
-		e.heap = make(eventHeap, 0, n)
-	}
+	e.queue.Reset(n)
 	for i := 0; i < n; i++ {
 		p := &e.procs[i]
 		// Preserve the src/rng allocation across runs; re-derive the stream.
@@ -470,8 +406,12 @@ func (e *Engine) RunInto(res *Result) error {
 				Time: p.time, Delay: delta0, Proc: int32(i), Kind: trace.KindStart,
 			})
 		}
-		if e.advance(i) {
-			e.heap.push(event{t: p.time, proc: int32(i)})
+		ok, err := e.advance(i)
+		if err != nil {
+			return err
+		}
+		if ok {
+			e.queue.Push(p.time, uint32(i), 0)
 		}
 	}
 
@@ -485,14 +425,19 @@ func (e *Engine) RunInto(res *Result) error {
 	}
 
 	// Each step executes the earliest pending completion in place: the
-	// root stays in the heap until the step settles whether the process
-	// goes on (fixTop files its next completion with one sift) or leaves
-	// (pop). Nothing in between reads the heap — the crasher, the
-	// adversary and the trace's leader view read only procs.
-	for live > 0 && len(e.heap) > 0 {
-		ev := e.heap[0]
-		i := int(ev.proc)
+	// root stays in the queue until the step settles whether the process
+	// goes on (FixTop files its next completion with one sift) or leaves
+	// (Pop). Nothing in between reads the queue — the crasher, the
+	// adversary and the trace's leader view read only procs. The queue
+	// orders by (time, process), strict and total because every live
+	// process has exactly one pending completion; with dithered starts
+	// time ties occur with probability zero, so the tie-break only pins
+	// down determinism. The completion's time is the process's own.
+	for live > 0 && e.queue.Len() > 0 {
+		key, _ := e.queue.Top()
+		i := int(key)
 		p := &e.procs[i]
+		now := p.time
 		op := p.next
 
 		var result uint32
@@ -507,13 +452,13 @@ func (e *Engine) RunInto(res *Result) error {
 		}
 		p.ops++
 		res.TotalOps++
-		res.Time = ev.t
+		res.Time = now
 		if e.contention != nil {
-			e.contention.bump(int(op.Reg), ev.t)
+			e.contention.bump(int(op.Reg), now)
 		}
 		if e.cfg.History != nil {
 			e.cfg.History.Append(register.Event{
-				Time: ev.t, Proc: i, Kind: op.Kind, Reg: op.Reg, Val: opValue(op, result),
+				Time: now, Proc: i, Kind: op.Kind, Reg: op.Reg, Val: opValue(op, result),
 			})
 		}
 		e.seq++
@@ -525,14 +470,14 @@ func (e *Engine) RunInto(res *Result) error {
 				round = int32(r.Round())
 			}
 			e.cfg.Trace.Append(trace.Event{
-				Time: ev.t, Delay: p.lastDelay, Step: p.j, Proc: int32(i),
+				Time: now, Delay: p.lastDelay, Step: p.j, Proc: int32(i),
 				Round: round, Value: int32(opValue(op, result)), Kind: trace.KindOp,
 			})
 			if round > p.round {
 				p.round = round
 				leader, _ := (*engineView)(e).Leader()
 				e.cfg.Trace.Append(trace.Event{
-					Time: ev.t, Proc: int32(i), Round: round, Value: int32(leader), Kind: trace.KindRound,
+					Time: now, Proc: int32(i), Round: round, Value: int32(leader), Kind: trace.KindRound,
 				})
 			}
 		}
@@ -547,21 +492,21 @@ func (e *Engine) RunInto(res *Result) error {
 			if res.FirstDecisionProc < 0 {
 				res.FirstDecisionProc = i
 				res.FirstDecisionRound = p.decRnd
-				res.FirstDecisionTime = ev.t
+				res.FirstDecisionTime = now
 			}
 			if e.cfg.Trace != nil {
 				e.cfg.Trace.Append(trace.Event{
-					Time: ev.t, Step: p.j, Proc: int32(i),
+					Time: now, Step: p.j, Proc: int32(i),
 					Round: int32(p.decRnd), Value: int32(p.dec), Kind: trace.KindDecide,
 				})
 			}
-			e.heap.pop()
+			e.queue.Pop()
 			live--
 		case machine.Failed:
 			res.Failed = true
 			p.halted = true
 			e.traceHalt(p, i)
-			e.heap.pop()
+			e.queue.Pop()
 			live--
 		case machine.Running:
 			p.next = next
@@ -570,10 +515,14 @@ func (e *Engine) RunInto(res *Result) error {
 				live = 0
 				break
 			}
-			if e.advance(i) {
-				e.heap.fixTop(event{t: p.time, proc: int32(i)})
-			} else {
-				e.heap.pop()
+			ok, err := e.advance(i)
+			switch {
+			case err != nil:
+				return err
+			case ok:
+				e.queue.FixTop(p.time, uint32(i), 0)
+			default:
+				e.queue.Pop()
 				live--
 			}
 		}

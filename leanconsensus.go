@@ -110,7 +110,8 @@ func WithInputs(inputs []int) Option {
 }
 
 // WithDistribution sets the interarrival noise distribution (default
-// Exponential(1)).
+// Exponential(1)). Noise that makes a completion time NaN fails the run
+// with an error.
 func WithDistribution(d Distribution) Option {
 	return func(o *options) error {
 		if d == nil {

@@ -2,6 +2,8 @@ package leanconsensus_test
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -116,6 +118,21 @@ func TestSimulateOptionValidation(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := leanconsensus.Simulate(tc.n, tc.opts...); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestSimulateRejectsNaNNoise: noise that makes a completion time NaN
+// is caller input with no place in the event order, so Simulate fails
+// with a config error instead of returning a result.
+func TestSimulateRejectsNaNNoise(t *testing.T) {
+	for _, opt := range []leanconsensus.Option{
+		leanconsensus.WithDistribution(leanconsensus.Uniform(math.NaN(), 1)),
+		leanconsensus.WithWriteDistribution(leanconsensus.Uniform(math.NaN(), 1)),
+	} {
+		res, err := leanconsensus.Simulate(3, opt)
+		if err == nil || !strings.Contains(err.Error(), "NaN completion time") {
+			t.Errorf("got result %+v, error %v; want the NaN completion-time error", res, err)
 		}
 	}
 }
