@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"leanconsensus/internal/arena"
@@ -203,41 +204,14 @@ func (a *Arena) ShardFor(key string) int { return a.inner.ShardFor(key) }
 // unless ArenaConfig.TraceK was set. Captures rank on simulated
 // quantities only, so the same workload yields the same captures
 // regardless of goroutine scheduling; call after the submissions of
-// interest have completed (typically after Close).
+// interest have completed (typically after Close). The result, events
+// included, belongs to the caller.
 func (a *Arena) Traces() []TraceInstance {
 	captures := a.inner.Traces()
-	if captures == nil {
-		return nil
+	for i := range captures {
+		captures[i].Events = slices.Clone(captures[i].Events)
 	}
-	out := make([]TraceInstance, len(captures))
-	for i, inst := range captures {
-		events := make([]TraceEvent, len(inst.Events))
-		for j, ev := range inst.Events {
-			events[j] = TraceEvent{
-				Time:  ev.Time,
-				Delay: ev.Delay,
-				Step:  ev.Step,
-				Proc:  ev.Proc,
-				Round: ev.Round,
-				Value: ev.Value,
-				Kind:  ev.Kind.String(),
-			}
-		}
-		out[i] = TraceInstance{
-			Key:        inst.Key,
-			Model:      inst.Model,
-			N:          inst.N,
-			Seed:       inst.Seed,
-			Err:        inst.Err,
-			FirstRound: inst.FirstRound,
-			LastRound:  inst.LastRound,
-			Ops:        inst.Ops,
-			SimTime:    inst.SimTime,
-			Dropped:    inst.Dropped,
-			Events:     events,
-		}
-	}
-	return out
+	return captures
 }
 
 // Stats snapshots the arena's aggregate counters.

@@ -121,7 +121,7 @@ func TestArenaTraces(t *testing.T) {
 			t.Errorf("capture %q has no events", inst.Key)
 		}
 		for _, ev := range inst.Events {
-			kinds[ev.Kind] = true
+			kinds[ev.Kind.String()] = true
 		}
 	}
 	for _, want := range []string{"start", "op", "decide"} {
@@ -154,6 +154,35 @@ func TestArenaTraces(t *testing.T) {
 	a.Close()
 	if got := a.Traces(); got != nil {
 		t.Errorf("untraced arena returned %d captures, want nil", len(got))
+	}
+}
+
+// TestArenaTracesCallerOwned checks that Traces hands out slices the
+// caller owns: overwriting an event in one result leaves the captures a
+// second call returns untouched.
+func TestArenaTracesCallerOwned(t *testing.T) {
+	a, err := leanconsensus.NewArena(leanconsensus.ArenaConfig{
+		Shards: 1, Workers: 1, N: 4, Seed: 9, TraceK: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := a.Propose(context.Background(), fmt.Sprintf("t-%d", i), i%2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	first := a.Traces()
+	if len(first) == 0 || len(first[0].Events) == 0 {
+		t.Fatal("no captured events")
+	}
+	want := first[0].Events[0]
+	first[0].Events[0] = leanconsensus.TraceEvent{}
+	if got := a.Traces()[0].Events[0]; got != want {
+		t.Fatalf("second Traces call returned %+v, want %+v", got, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package leanconsensus
 
 import (
 	"context"
-	"time"
 
 	"leanconsensus/internal/campaign"
 )
@@ -54,88 +53,21 @@ type CampaignSpec struct {
 	Tenant string `json:"-"`
 }
 
-// CampaignProgress reports a campaign's position to Campaign.OnProgress.
-type CampaignProgress struct {
-	// CellKey is the cell that just completed ("" for the initial
-	// restored-from-checkpoint notification).
-	CellKey string
-	// CellsDone/CellsTotal count cells; InstancesDone/InstancesTotal
-	// count repetitions.
-	CellsDone, CellsTotal         int
-	InstancesDone, InstancesTotal int64
-	// CellLatency is the completed cell's wall-clock execution time (0
-	// for the restored-from-checkpoint notification) — the only
-	// nondeterministic field, for throughput and ETA displays.
-	CellLatency time.Duration
-}
-
-// CampaignCell is one completed grid cell's statistics. Every field is
-// deterministic: a pure function of (model, dist, adversary, n, seed,
-// reps).
-type CampaignCell struct {
-	Model     string `json:"model"`
-	Dist      string `json:"dist"`
-	Adversary string `json:"adversary"`
-	N         int    `json:"n"`
-	Seed      uint64 `json:"seed"`
-	Reps      int64  `json:"reps"`
-
-	Decided0            int64 `json:"decided0"`
-	Decided1            int64 `json:"decided1"`
-	Errors              int64 `json:"errors"`
-	AgreementViolations int64 `json:"agreementViolations"`
-	ValidityViolations  int64 `json:"validityViolations"`
-	Undecided           int64 `json:"undecided"`
-
-	MeanRound    float64 `json:"meanRound"`
-	RoundCI95    float64 `json:"roundCi95"`
-	MinRound     float64 `json:"minRound"`
-	MaxRound     float64 `json:"maxRound"`
-	P50Round     float64 `json:"p50Round"`
-	P90Round     float64 `json:"p90Round"`
-	P99Round     float64 `json:"p99Round"`
-	MaxLastRound int     `json:"maxLastRound"`
-
-	Ops            int64   `json:"ops"`
-	MeanOpsPerProc float64 `json:"meanOpsPerProc"`
-	SimTime        float64 `json:"simTime"`
-}
-
-// CampaignReport is a completed campaign: one row per grid cell, in grid
-// order. Reports are byte-identical across runs, pool shapes, and
-// interrupt/resume boundaries.
-type CampaignReport struct {
-	// Name and SpecHash identify the campaign; SpecHash is a content hash
-	// of the normalized spec, the key that binds checkpoints to grids.
-	Name     string `json:"name,omitempty"`
-	SpecHash string `json:"specHash"`
-	// Spec echoes the normalized spec (defaults applied, names
-	// canonicalized).
-	Spec CampaignSpec `json:"spec"`
-	// Cells holds the per-cell statistics.
-	Cells []CampaignCell `json:"cells"`
-}
-
-// CSV renders the report as comma-separated values at full float
-// precision.
-func (r *CampaignReport) CSV() string { return r.inner().CSV() }
-
-// JSON renders the report as indented JSON.
-func (r *CampaignReport) JSON() ([]byte, error) { return r.inner().JSON() }
-
-// inner rebuilds the internal report for the renderers.
-func (r *CampaignReport) inner() *campaign.Report {
-	rep := &campaign.Report{
-		Name:     r.Name,
-		SpecHash: r.SpecHash,
-		Spec:     specToInternal(r.Spec),
-		Cells:    make([]campaign.CellReport, len(r.Cells)),
-	}
-	for i, c := range r.Cells {
-		rep.Cells[i] = campaign.CellReport(c)
-	}
-	return rep
-}
+// The campaign layer's own types, shared with the service's reports.
+type (
+	// CampaignProgress reports a campaign's position to
+	// Campaign.OnProgress. CellLatency is its only nondeterministic field.
+	CampaignProgress = campaign.Progress
+	// CampaignCell is one completed grid cell's statistics. Every field is
+	// deterministic: a pure function of (model, dist, adversary, n, seed,
+	// reps).
+	CampaignCell = campaign.CellReport
+	// CampaignReport is a completed campaign: one row per grid cell, in
+	// grid order, with the normalized spec it was expanded from. Reports
+	// are byte-identical across runs, pool shapes, and interrupt/resume
+	// boundaries; CSV and JSON render them.
+	CampaignReport = campaign.Report
+)
 
 // Campaign is a configured experiment campaign. Fill the spec and the
 // runtime knobs, then Run it; the zero values of everything but Spec
@@ -162,22 +94,13 @@ type Campaign struct {
 // cancellation it stops cleanly after draining in-flight instances —
 // completed cells stay in the checkpoint — and returns ctx.Err().
 func (c *Campaign) Run(ctx context.Context) (*CampaignReport, error) {
-	cfg := campaign.Config{
+	return campaign.Run(ctx, specToInternal(c.Spec), campaign.Config{
 		Shards:     c.Shards,
 		Workers:    c.Workers,
 		Checkpoint: c.Checkpoint,
 		Resume:     c.Resume,
-	}
-	if c.OnProgress != nil {
-		cfg.OnCell = func(p campaign.Progress) {
-			c.OnProgress(CampaignProgress(p))
-		}
-	}
-	rep, err := campaign.Run(ctx, specToInternal(c.Spec), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return reportFromInternal(rep), nil
+		OnCell:     c.OnProgress,
+	})
 }
 
 // specToInternal converts the public spec to the internal one.
@@ -193,31 +116,4 @@ func specToInternal(s CampaignSpec) campaign.Spec {
 		Seeds:       s.Seeds,
 		Reps:        s.Reps,
 	}
-}
-
-// specFromInternal converts the internal spec to the public mirror.
-func specFromInternal(s campaign.Spec) CampaignSpec {
-	return CampaignSpec{
-		Name:        s.Name,
-		Models:      s.Models,
-		Dists:       s.Dists,
-		Adversaries: s.Adversaries,
-		Ns:          s.Ns,
-		Seeds:       s.Seeds,
-		Reps:        s.Reps,
-	}
-}
-
-// reportFromInternal converts the internal report to the public mirror.
-func reportFromInternal(rep *campaign.Report) *CampaignReport {
-	out := &CampaignReport{
-		Name:     rep.Name,
-		SpecHash: rep.SpecHash,
-		Spec:     specFromInternal(rep.Spec),
-		Cells:    make([]CampaignCell, len(rep.Cells)),
-	}
-	for i, c := range rep.Cells {
-		out.Cells[i] = CampaignCell(c)
-	}
-	return out
 }

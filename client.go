@@ -13,6 +13,10 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"leanconsensus/internal/obslog"
+	"leanconsensus/internal/server"
+	"leanconsensus/internal/trace"
 )
 
 // CorrelationHeader is the request header carrying a caller-chosen
@@ -31,9 +35,12 @@ const CorrelationHeader = "X-Lean-Correlation"
 const TenantHeader = "X-Lean-Tenant"
 
 // This file is the typed Go client for the leanserve HTTP service
-// (internal/server, cmd/leanserve). The JSON shapes here mirror the
-// server's wire contract; the server's end-to-end tests drive the real
-// service through this client, so the two cannot drift silently.
+// (internal/server, cmd/leanserve). Every response body decodes into the
+// type the server encodes it from, through the aliases below, so client
+// and server share one schema. Four structs stay in this package: JobSpec
+// and CampaignSpec carry header-only fields, and Event and EventPage keep
+// Kind a plain string. TestClientWireShapes round-trips each of them
+// against its server-side counterpart, field by field.
 
 // Job lifecycle states reported by JobStatus.Status.
 const (
@@ -71,130 +78,79 @@ type JobSpec struct {
 	Tenant string `json:"-"`
 }
 
-// JobStatus is one job's lifecycle state, live progress, and — once
-// finished — results.
-type JobStatus struct {
-	ID      string       `json:"id"`
-	Status  string       `json:"status"`
-	Created time.Time    `json:"created"`
-	Tenant  string       `json:"tenant,omitempty"`
-	Specs   []SpecStatus `json:"specs"`
-	Error   string       `json:"error,omitempty"`
-}
+// The service's response bodies, decoded into the server's own types.
+type (
+	// JobStatus is one job's lifecycle state, live progress, and — once
+	// finished — results (GET /v1/jobs/{id} and the job SSE payload).
+	JobStatus = server.JobStatus
+	// SpecStatus is one spec's progress within a job: Done of Instances
+	// completed, broken down per arena shard, plus the final Result once
+	// the spec has run.
+	SpecStatus = server.SpecStatus
+	// SpecResult aggregates one executed spec. All fields except
+	// ElapsedMS and Throughput are pure functions of the spec and replay
+	// exactly.
+	SpecResult = server.SpecResult
+	// JobTraces is the GET /v1/jobs/{id}/trace body: one capture block per
+	// spec in submission order, most interesting captures first within
+	// each block. Blocks are empty until the spec finishes, and stay empty
+	// when the job was submitted without tracing (SubmitJobsTraced).
+	JobTraces = server.JobTrace
+	// SpecTrace is one spec's flight-recorder captures.
+	SpecTrace = server.SpecTrace
+	// TraceInstance is one captured execution: identifying fields, the
+	// deterministic outcome summary, and the recorded event window
+	// (oldest first). Re-running the same (model, key, n, seed, config)
+	// replays the exact same events.
+	TraceInstance = trace.Instance
+	// TraceEvent is one flight-recorder event. Which fields are
+	// meaningful depends on Kind, which marshals as its name: "start"
+	// carries the adversary's start delay in Delay, "op" the step delay
+	// and the value read or written, "round" the new round with the
+	// leader in Value (-1 when the model has no global view), "decide"
+	// the decided bit, "halt" a process death, and "preempt" the incoming
+	// process in Value.
+	TraceEvent = trace.Event
+	// CampaignStatus is one campaign's lifecycle state, live progress,
+	// and — once finished — its deterministic report.
+	CampaignStatus = server.CampaignStatus
+	// Catalog lists what the service's registries accept in a JobSpec
+	// (GET /v1/models).
+	Catalog = server.Catalog
+	// ModelInfo describes one registered execution model.
+	ModelInfo = server.ModelInfo
+	// VariantInfo describes one registered algorithm variant; only
+	// servable variants are accepted in job specs.
+	VariantInfo = server.VariantInfo
+	// AdversaryCatalog lists the service's registered adversarial
+	// schedules (GET /v1/adversaries).
+	AdversaryCatalog = server.AdversaryCatalog
+	// AdversaryInfo describes one registered adversarial schedule: its
+	// parameter schema and the execution models that can run it.
+	AdversaryInfo = server.AdversaryInfo
+	// AdversaryParam is one named parameter of an adversarial schedule.
+	AdversaryParam = server.AdversaryParam
+	// Health is the service's liveness report (GET /healthz): build
+	// identity, live work and queue depth, tenants with queued work,
+	// runtime vitals, the journal node identity, and JournalDropped,
+	// which is nonzero when the durable journal has sequence gaps.
+	Health = server.Health
+	// EventLabels carries an event's workload axes (model × dist ×
+	// adversary × n, the paper's experiment coordinates), its tenant, and
+	// the kind-specific Count/Detail payload.
+	EventLabels = obslog.Labels
+)
 
-// Finished reports whether the job reached a terminal state.
-func (s *JobStatus) Finished() bool { return s.Status == JobDone || s.Status == JobFailed }
-
-// SpecStatus is one spec's progress within a job: Done of Instances
-// completed, broken down per arena shard, plus the final Result once the
-// spec has run.
-type SpecStatus struct {
-	Spec      JobSpec     `json:"spec"`
-	Instances int         `json:"instances"`
-	Done      int64       `json:"done"`
-	PerShard  []int64     `json:"perShard"`
-	Result    *SpecResult `json:"result,omitempty"`
-}
-
-// SpecResult aggregates one executed spec. All fields except ElapsedMS
-// and Throughput are pure functions of the spec and replay exactly.
-type SpecResult struct {
-	Model          string  `json:"model"`
-	Variant        string  `json:"variant"`
-	Dist           string  `json:"dist"`
-	Adversary      string  `json:"adversary"`
-	N              int     `json:"n"`
-	Seed           uint64  `json:"seed"`
-	Instances      int     `json:"instances"`
-	Decided0       int64   `json:"decided0"`
-	Decided1       int64   `json:"decided1"`
-	Errors         int64   `json:"errors"`
-	Ops            int64   `json:"ops"`
-	RoundSum       int64   `json:"roundSum"`
-	MeanFirstRound float64 `json:"meanFirstRound"`
-	MaxRound       int     `json:"maxRound"`
-	ElapsedMS      float64 `json:"elapsedMs"`
-	Throughput     float64 `json:"throughput"`
-}
-
-// Catalog lists what the service's registries accept in a JobSpec.
-type Catalog struct {
-	DefaultModel string        `json:"defaultModel"`
-	Models       []ModelInfo   `json:"models"`
-	Variants     []VariantInfo `json:"variants"`
-	Dists        []string      `json:"dists"`
-}
-
-// ModelInfo describes one registered execution model.
-type ModelInfo struct {
-	Name  string `json:"name"`
-	Brief string `json:"brief"`
-}
-
-// VariantInfo describes one registered algorithm variant; only servable
-// variants are accepted in job specs.
-type VariantInfo struct {
-	Name     string `json:"name"`
-	Servable bool   `json:"servable"`
-}
-
-// AdversaryCatalog lists the service's registered adversarial schedules
-// (GET /v1/adversaries).
-type AdversaryCatalog struct {
-	DefaultAdversary string          `json:"defaultAdversary"`
-	Adversaries      []AdversaryInfo `json:"adversaries"`
-}
-
-// AdversaryInfo describes one registered adversarial schedule: its
-// parameter schema (specs are written "name:param=value:param=value")
-// and the execution models that can run it.
-type AdversaryInfo struct {
-	Name      string           `json:"name"`
-	Canonical string           `json:"canonical"`
-	Brief     string           `json:"brief"`
-	Params    []AdversaryParam `json:"params,omitempty"`
-	Models    []string         `json:"models"`
-}
-
-// AdversaryParam is one named parameter of an adversarial schedule;
-// Integer parameters only accept whole values.
-type AdversaryParam struct {
-	Name    string  `json:"name"`
-	Default float64 `json:"default"`
-	Integer bool    `json:"integer,omitempty"`
-}
-
-// Health is the service's liveness report. Version and Revision identify
-// the build the service is running; QueueDepth counts jobs plus
-// campaigns admitted but still waiting for an execution slot, and
-// Goroutines and GCPauseP99Ms are process-level runtime vitals. Tenants
-// counts tenants with queued work at the admission gate. Node is
-// the journal node identity the service stamps on its events, and
-// JournalDropped counts events its persistence follower lost to ring
-// wraps — nonzero means the durable journal has sequence gaps.
-type Health struct {
-	Status          string  `json:"status"`
-	Version         string  `json:"version"`
-	Revision        string  `json:"revision"`
-	Node            string  `json:"node,omitempty"`
-	QueuedInstances int64   `json:"queuedInstances"`
-	Jobs            int     `json:"jobs"`
-	Campaigns       int     `json:"campaigns"`
-	QueueDepth      int     `json:"queueDepth"`
-	Tenants         int     `json:"tenants,omitempty"`
-	Goroutines      int     `json:"goroutines"`
-	GCPauseP99Ms    float64 `json:"gcPauseP99Ms"`
-	JournalDropped  uint64  `json:"journalDropped,omitempty"`
-}
-
-// Event is one operations-journal entry, mirroring the server's
-// internal/obslog wire shape. Kind is a wire-stable name: job.admit,
-// job.start, job.done, job.shed, campaign.start, campaign.cell.done,
-// campaign.checkpoint, campaign.resume, campaign.done, arena.drain, or
-// server.request. ID is the correlation ID of the entity the event is
-// about (job/campaign ID, cell key); Parent chains it to its owner —
-// a campaign's cells carry the campaign ID here — so a campaign's full
-// lifecycle tree reconstructs from the event stream alone.
+// Event is one operations-journal entry in the server's internal/obslog
+// wire shape. Kind is a wire-stable name: job.admit, job.start,
+// job.done, job.shed, campaign.start, campaign.cell.done,
+// campaign.checkpoint, campaign.resume, campaign.done, arena.drain,
+// server.request, or journal.truncate. It stays a string, so a client
+// decodes kinds a newer service adds instead of rejecting the page. ID
+// is the correlation ID of the entity the event is about (job/campaign
+// ID, cell key); Parent chains it to its owner — a campaign's cells
+// carry the campaign ID here — so a campaign's full lifecycle tree
+// reconstructs from the event stream alone.
 type Event struct {
 	Seq    uint64      `json:"seq"`
 	TS     int64       `json:"ts"` // Unix nanoseconds
@@ -203,19 +159,6 @@ type Event struct {
 	Parent string      `json:"parent,omitempty"`
 	Node   string      `json:"node,omitempty"` // emitting process's identity
 	Labels EventLabels `json:"labels"`
-}
-
-// EventLabels carries an event's workload axes (model × dist ×
-// adversary × n, the paper's experiment coordinates) and kind-specific
-// Count/Detail payload.
-type EventLabels struct {
-	Model     string `json:"model,omitempty"`
-	Dist      string `json:"dist,omitempty"`
-	Adversary string `json:"adversary,omitempty"`
-	N         int    `json:"n,omitempty"`
-	Tenant    string `json:"tenant,omitempty"`
-	Count     int64  `json:"count,omitempty"`
-	Detail    string `json:"detail,omitempty"`
 }
 
 // EventPage is one journal replay window: events with Seq > the
@@ -270,79 +213,6 @@ func (q *EventQuery) encode() string {
 	}
 	return v.Encode()
 }
-
-// TraceEvent is one flight-recorder event, mirroring the server's
-// internal/trace.Event wire shape. Which fields are meaningful depends
-// on Kind: "start" carries the adversary's start delay in Delay, "op"
-// the step delay and the value read or written, "round" the new round
-// with the leader in Value (-1 when the model has no global view),
-// "decide" the decided bit, "halt" a process death, and "preempt" the
-// incoming process in Value.
-type TraceEvent struct {
-	Time  float64 `json:"t"`
-	Delay float64 `json:"d"`
-	Step  int64   `json:"j"`
-	Proc  int32   `json:"p"`
-	Round int32   `json:"r"`
-	Value int32   `json:"v"`
-	Kind  string  `json:"k"`
-}
-
-// TraceInstance is one captured execution: identifying fields, the
-// deterministic outcome summary, and the recorded event window (oldest
-// first). Re-running the same (model, key, n, seed, config) replays the
-// exact same events.
-type TraceInstance struct {
-	Key        string       `json:"key"`
-	Model      string       `json:"model"`
-	N          int          `json:"n"`
-	Seed       uint64       `json:"seed"`
-	Err        string       `json:"err,omitempty"`
-	FirstRound int          `json:"first_round"`
-	LastRound  int          `json:"last_round"`
-	Ops        int64        `json:"ops"`
-	SimTime    float64      `json:"sim_time"`
-	Dropped    int64        `json:"dropped"`
-	Events     []TraceEvent `json:"events"`
-}
-
-// JobTraces is the GET /v1/jobs/{id}/trace body: one capture block per
-// spec in submission order, most interesting captures first within each
-// block. Blocks are empty until the spec finishes, and stay empty when
-// the job was submitted without tracing (SubmitJobsTraced).
-type JobTraces struct {
-	ID     string      `json:"id"`
-	Status string      `json:"status"`
-	Specs  []SpecTrace `json:"specs"`
-}
-
-// SpecTrace is one spec's flight-recorder captures.
-type SpecTrace struct {
-	Spec  JobSpec         `json:"spec"`
-	Trace []TraceInstance `json:"trace,omitempty"`
-}
-
-// CampaignStatus is one campaign's lifecycle state, live progress, and —
-// once finished — its deterministic report.
-type CampaignStatus struct {
-	ID       string    `json:"id"`
-	Status   string    `json:"status"`
-	Created  time.Time `json:"created"`
-	Name     string    `json:"name,omitempty"`
-	Tenant   string    `json:"tenant,omitempty"`
-	SpecHash string    `json:"specHash"`
-
-	CellsDone      int   `json:"cellsDone"`
-	CellsTotal     int   `json:"cellsTotal"`
-	InstancesDone  int64 `json:"instancesDone"`
-	InstancesTotal int64 `json:"instancesTotal"`
-
-	Error  string          `json:"error,omitempty"`
-	Report *CampaignReport `json:"report,omitempty"`
-}
-
-// Finished reports whether the campaign reached a terminal state.
-func (s *CampaignStatus) Finished() bool { return s.Status == JobDone || s.Status == JobFailed }
 
 // APIError is a non-2xx response from the service.
 type APIError struct {
@@ -406,6 +276,19 @@ func (c *Client) do(req *http.Request, out any) error {
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// get fetches path and decodes its 2xx JSON body into a new T.
+func get[T any](ctx context.Context, c *Client, path string) (*T, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	var out T
+	if err := c.do(req, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
 }
 
 // responseError converts a non-2xx response into a typed error.
@@ -478,28 +361,12 @@ func (c *Client) SubmitJobsTraced(ctx context.Context, traceK int, specs ...JobS
 // JobTrace fetches one job's flight-recorder captures. It answers at any
 // lifecycle stage; capture blocks appear as specs finish.
 func (c *Client) JobTrace(ctx context.Context, id string) (*JobTraces, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/trace", nil)
-	if err != nil {
-		return nil, err
-	}
-	var jt JobTraces
-	if err := c.do(req, &jt); err != nil {
-		return nil, err
-	}
-	return &jt, nil
+	return get[JobTraces](ctx, c, "/v1/jobs/"+url.PathEscape(id)+"/trace")
 }
 
 // Job fetches one job's status.
 func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return nil, err
-	}
-	var st JobStatus
-	if err := c.do(req, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return get[JobStatus](ctx, c, "/v1/jobs/"+url.PathEscape(id))
 }
 
 // WaitJob polls until the job finishes or ctx expires. A failed job
@@ -592,7 +459,7 @@ func (c *Client) streamEvents(ctx context.Context, path string, each func(event 
 // status together with a non-nil error, exactly like WaitJob.
 func (c *Client) StreamJob(ctx context.Context, id string, fn func(JobStatus)) (*JobStatus, error) {
 	var final *JobStatus
-	err := c.streamEvents(ctx, "/v1/jobs/"+id+"/stream", func(event string, data []byte) (bool, error) {
+	err := c.streamEvents(ctx, "/v1/jobs/"+url.PathEscape(id)+"/stream", func(event string, data []byte) (bool, error) {
 		var st JobStatus
 		if err := json.Unmarshal(data, &st); err != nil {
 			return false, fmt.Errorf("leanserve: bad stream payload: %v", err)
@@ -643,15 +510,7 @@ func (c *Client) SubmitCampaign(ctx context.Context, spec CampaignSpec) (string,
 
 // Campaign fetches one campaign's status (and, once finished, report).
 func (c *Client) Campaign(ctx context.Context, id string) (*CampaignStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/campaigns/"+id, nil)
-	if err != nil {
-		return nil, err
-	}
-	var st CampaignStatus
-	if err := c.do(req, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return get[CampaignStatus](ctx, c, "/v1/campaigns/"+url.PathEscape(id))
 }
 
 // WaitCampaign polls until the campaign finishes or ctx expires. A
@@ -691,7 +550,7 @@ func campaignError(st *CampaignStatus) error {
 // returns the final status carried by the terminal "done" event.
 func (c *Client) StreamCampaign(ctx context.Context, id string, fn func(CampaignStatus)) (*CampaignStatus, error) {
 	var final *CampaignStatus
-	err := c.streamEvents(ctx, "/v1/campaigns/"+id+"/stream", func(event string, data []byte) (bool, error) {
+	err := c.streamEvents(ctx, "/v1/campaigns/"+url.PathEscape(id)+"/stream", func(event string, data []byte) (bool, error) {
 		var st CampaignStatus
 		if err := json.Unmarshal(data, &st); err != nil {
 			return false, fmt.Errorf("leanserve: bad stream payload: %v", err)
@@ -713,28 +572,12 @@ func (c *Client) StreamCampaign(ctx context.Context, id string, fn func(Campaign
 
 // Models fetches the service's registry catalog.
 func (c *Client) Models(ctx context.Context) (*Catalog, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/models", nil)
-	if err != nil {
-		return nil, err
-	}
-	var cat Catalog
-	if err := c.do(req, &cat); err != nil {
-		return nil, err
-	}
-	return &cat, nil
+	return get[Catalog](ctx, c, "/v1/models")
 }
 
 // Adversaries fetches the service's adversary registry catalog.
 func (c *Client) Adversaries(ctx context.Context) (*AdversaryCatalog, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/adversaries", nil)
-	if err != nil {
-		return nil, err
-	}
-	var cat AdversaryCatalog
-	if err := c.do(req, &cat); err != nil {
-		return nil, err
-	}
-	return &cat, nil
+	return get[AdversaryCatalog](ctx, c, "/v1/adversaries")
 }
 
 // Health fetches the liveness report. Both "ok" (200) and "draining"
@@ -776,16 +619,7 @@ func (c *Client) Events(ctx context.Context, since uint64) (*EventPage, error) {
 // page came back full, Next is the last returned seq, else the journal
 // tip.
 func (c *Client) QueryEvents(ctx context.Context, q EventQuery) (*EventPage, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/v1/events?"+q.encode(), nil)
-	if err != nil {
-		return nil, err
-	}
-	var page EventPage
-	if err := c.do(req, &page); err != nil {
-		return nil, err
-	}
-	return &page, nil
+	return get[EventPage](ctx, c, "/v1/events?"+q.encode())
 }
 
 // StreamEvents subscribes to the journal firehose (SSE), calling fn for

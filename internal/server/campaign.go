@@ -36,6 +36,9 @@ type CampaignStatus struct {
 	Report *campaign.Report `json:"report,omitempty"`
 }
 
+// Finished reports whether the campaign reached a terminal state.
+func (s *CampaignStatus) Finished() bool { return terminal(s.Status) }
+
 // campaignRun is one admitted campaign's execution state. Progress
 // fields are atomics written by the runner's serial callbacks and read
 // by status snapshots and the SSE stream without locks.

@@ -704,12 +704,12 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 // handleModels lists the three registries the wire spec resolves
 // against.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	resp := modelsResponse{DefaultModel: engine.DefaultModel}
+	resp := Catalog{DefaultModel: engine.DefaultModel}
 	for _, info := range engine.List() {
-		resp.Models = append(resp.Models, modelInfo{Name: info.Name, Brief: info.Brief})
+		resp.Models = append(resp.Models, ModelInfo{Name: info.Name, Brief: info.Brief})
 	}
 	for _, name := range engine.VariantNames() {
-		resp.Variants = append(resp.Variants, variantInfo{
+		resp.Variants = append(resp.Variants, VariantInfo{
 			Name:     name,
 			Servable: name == engine.ServableVariant,
 		})
@@ -724,16 +724,16 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 // adversary axis: names, parameter schemas with defaults, and the models
 // each schedule can run under.
 func (s *Server) handleAdversaries(w http.ResponseWriter, r *http.Request) {
-	resp := adversariesResponse{DefaultAdversary: engine.DefaultAdversary}
+	resp := AdversaryCatalog{DefaultAdversary: engine.DefaultAdversary}
 	for _, info := range engine.AdversaryList() {
-		ai := adversaryInfo{
+		ai := AdversaryInfo{
 			Name:      info.Name,
 			Canonical: info.Canonical,
 			Brief:     info.Brief,
 			Models:    info.Models,
 		}
 		for _, p := range info.Params {
-			ai.Params = append(ai.Params, adversaryParam{Name: p.Name, Default: p.Default, Integer: p.Integer})
+			ai.Params = append(ai.Params, AdversaryParam{Name: p.Name, Default: p.Default, Integer: p.Integer})
 		}
 		resp.Adversaries = append(resp.Adversaries, ai)
 	}
@@ -778,7 +778,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
 	bi := buildinfo.Read()
-	writeJSON(w, code, healthResponse{
+	writeJSON(w, code, Health{
 		Status:          status,
 		Version:         bi.Version,
 		Revision:        bi.Revision,

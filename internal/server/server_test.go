@@ -392,6 +392,50 @@ func TestModelsAndHealth(t *testing.T) {
 	}
 }
 
+// TestClientEscapesIDs holds the client to one path segment per ID. An
+// ID carrying '/', '?' or '#' names no resource, so it must answer 404,
+// never a different resource: the job's trace body decoded as its
+// status, or the job itself with the rest sent as a query or dropped as
+// a fragment.
+func TestClientEscapesIDs(t *testing.T) {
+	_, client := newTestServer(t, server.Config{Shards: 2, Workers: 1})
+	ctx := context.Background()
+	jid, err := client.SubmitJobs(ctx, leanconsensus.JobSpec{Seed: 1, Instances: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.WaitJob(ctx, jid); err != nil {
+		t.Fatal(err)
+	}
+	cid, err := client.SubmitCampaign(ctx, leanconsensus.CampaignSpec{Reps: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.WaitCampaign(ctx, cid); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, id string
+		get      func(id string) error
+	}{
+		{"Job", jid, func(id string) error { _, err := client.Job(ctx, id); return err }},
+		{"JobTrace", jid, func(id string) error { _, err := client.JobTrace(ctx, id); return err }},
+		{"StreamJob", jid, func(id string) error { _, err := client.StreamJob(ctx, id, nil); return err }},
+		{"Campaign", cid, func(id string) error { _, err := client.Campaign(ctx, id); return err }},
+		{"StreamCampaign", cid, func(id string) error { _, err := client.StreamCampaign(ctx, id, nil); return err }},
+	} {
+		if err := c.get(c.id); err != nil {
+			t.Fatalf("%s(%q): %v", c.name, c.id, err)
+		}
+		for _, suffix := range []string{"/trace", "?x=1", "#frag"} {
+			var apiErr *leanconsensus.APIError
+			if err := c.get(c.id + suffix); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
+				t.Errorf("%s(%q) = %v, want a 404 *APIError", c.name, c.id+suffix, err)
+			}
+		}
+	}
+}
+
 func TestGracefulDrain(t *testing.T) {
 	srv, client := newTestServer(t, server.Config{Shards: 2, Workers: 2})
 	ctx := context.Background()

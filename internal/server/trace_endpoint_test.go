@@ -65,7 +65,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 			t.Fatalf("capture %q has no events", inst.Key)
 		}
 		for _, ev := range inst.Events {
-			switch ev.Kind {
+			switch ev.Kind.String() {
 			case "start", "op", "round", "decide", "halt", "preempt":
 			default:
 				t.Fatalf("capture %q has unknown event kind %q", inst.Key, ev.Kind)

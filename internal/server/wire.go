@@ -11,9 +11,13 @@ import (
 	"leanconsensus/internal/trace"
 )
 
-// The JSON wire contract. The root package's Client mirrors these
-// shapes; the end-to-end tests drive the real server through that
-// client, so the two cannot drift silently.
+// The JSON wire contract. Each response body has one definition: here,
+// or in the package that produces it (campaign.Report, trace.Instance,
+// obslog.Labels). The root package's Client decodes into these types
+// through aliases, so a field added here reaches the client with no
+// second edit. Only the request specs and the journal event and page
+// keep root-side structs, and a root test round-trips each of them
+// against its counterpart.
 
 // submitRequest is the POST /v1/jobs body. Trace, when positive, arms
 // flight-recorder capture on every spec's arena: the K most interesting
@@ -45,6 +49,14 @@ type JobStatus struct {
 	Tenant  string       `json:"tenant,omitempty"`
 	Specs   []SpecStatus `json:"specs"`
 	Error   string       `json:"error,omitempty"`
+}
+
+// Finished reports whether the job reached a terminal state.
+func (s *JobStatus) Finished() bool { return terminal(s.Status) }
+
+// terminal reports whether a wire status names a terminal state.
+func terminal(status string) bool {
+	return status == stateDone.name() || status == stateFailed.name()
 }
 
 // SpecStatus is one spec's live progress and, once finished, result.
@@ -81,41 +93,50 @@ type SpecResult struct {
 	Throughput     float64 `json:"throughput"`
 }
 
-// modelsResponse is the GET /v1/models body.
-type modelsResponse struct {
+// Catalog is the GET /v1/models body: what the registries accept in a
+// job spec.
+type Catalog struct {
 	DefaultModel string        `json:"defaultModel"`
-	Models       []modelInfo   `json:"models"`
-	Variants     []variantInfo `json:"variants"`
+	Models       []ModelInfo   `json:"models"`
+	Variants     []VariantInfo `json:"variants"`
 	Dists        []string      `json:"dists"`
 }
 
-type modelInfo struct {
+// ModelInfo describes one registered execution model.
+type ModelInfo struct {
 	Name  string `json:"name"`
 	Brief string `json:"brief"`
 }
 
-type variantInfo struct {
+// VariantInfo describes one registered algorithm variant; only servable
+// variants are accepted in job specs.
+type VariantInfo struct {
 	Name     string `json:"name"`
 	Servable bool   `json:"servable"`
 }
 
-// adversariesResponse is the GET /v1/adversaries body: the registered
+// AdversaryCatalog is the GET /v1/adversaries body: the registered
 // adversarial schedules, their parameter schemas, and which execution
 // models can run each.
-type adversariesResponse struct {
+type AdversaryCatalog struct {
 	DefaultAdversary string          `json:"defaultAdversary"`
-	Adversaries      []adversaryInfo `json:"adversaries"`
+	Adversaries      []AdversaryInfo `json:"adversaries"`
 }
 
-type adversaryInfo struct {
+// AdversaryInfo describes one registered adversarial schedule: its
+// parameter schema (specs are written "name:param=value:param=value")
+// and the execution models that can run it.
+type AdversaryInfo struct {
 	Name      string           `json:"name"`
 	Canonical string           `json:"canonical"`
 	Brief     string           `json:"brief"`
-	Params    []adversaryParam `json:"params,omitempty"`
+	Params    []AdversaryParam `json:"params,omitempty"`
 	Models    []string         `json:"models"`
 }
 
-type adversaryParam struct {
+// AdversaryParam is one named parameter of an adversarial schedule;
+// Integer parameters only accept whole values.
+type AdversaryParam struct {
 	Name    string  `json:"name"`
 	Default float64 `json:"default"`
 	Integer bool    `json:"integer,omitempty"`
@@ -140,7 +161,7 @@ type SpecTrace struct {
 	Trace []trace.Instance `json:"trace,omitempty"`
 }
 
-// healthResponse is the GET /healthz body. Jobs and Campaigns count live
+// Health is the GET /healthz body. Jobs and Campaigns count live
 // (queued or running) work only; Version and Revision identify the
 // running build (internal/buildinfo). QueueDepth counts jobs plus
 // campaigns admitted but still waiting for an execution slot;
@@ -148,7 +169,7 @@ type SpecTrace struct {
 // the journal node identity stamped on this process's events, and
 // JournalDropped counts events the persistence follower lost to ring
 // wraps — nonzero means the on-disk journal has sequence gaps.
-type healthResponse struct {
+type Health struct {
 	Status          string  `json:"status"`
 	Version         string  `json:"version"`
 	Revision        string  `json:"revision"`
