@@ -90,6 +90,40 @@ func TestSimulateMessagePassingCrashes(t *testing.T) {
 	}
 }
 
+// TestSimulateMessagePassingRepeatedCrashID: the live majority counts
+// crashed processes, not crash ids, so an id listed twice crashes one
+// process and counts once.
+func TestSimulateMessagePassingRepeatedCrashID(t *testing.T) {
+	inputs := []int{0, 1, 0, 1}
+	res, err := leanconsensus.SimulateMessagePassing(leanconsensus.MessagePassingConfig{
+		Inputs: inputs,
+		Crash:  []int{0, 0},
+	})
+	if err != nil {
+		t.Fatalf("crash [0 0] among %d processes: %v", len(inputs), err)
+	}
+	if res.Decisions[0] != -1 {
+		t.Errorf("crashed process 0 decided %d", res.Decisions[0])
+	}
+	for _, crash := range [][]int{{0, 1}, {1, 0, 1}} {
+		_, err := leanconsensus.SimulateMessagePassing(leanconsensus.MessagePassingConfig{
+			Inputs: inputs,
+			Crash:  crash,
+		})
+		if !errors.Is(err, msgnet.ErrNoMajority) {
+			t.Errorf("crash %v among %d processes: error %v, want msgnet.ErrNoMajority", crash, len(inputs), err)
+		}
+	}
+	for _, crash := range [][]int{{4}, {-1}, {0, 0, 4}} {
+		if _, err := leanconsensus.SimulateMessagePassing(leanconsensus.MessagePassingConfig{
+			Inputs: inputs,
+			Crash:  crash,
+		}); err == nil {
+			t.Errorf("crash %v among %d processes accepted", crash, len(inputs))
+		}
+	}
+}
+
 func TestStatisticalAdversaryViaPublicAPI(t *testing.T) {
 	res, err := leanconsensus.Simulate(16,
 		leanconsensus.WithAdversary(leanconsensus.StatisticalAdversary(2)),

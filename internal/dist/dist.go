@@ -52,7 +52,7 @@ type Uniform struct {
 }
 
 // Sample implements Distribution.
-func (d Uniform) Sample(rng *rand.Rand) float64 { return d.Lo + rng.Float64()*(d.Hi-d.Lo) }
+func (d Uniform) Sample(rng *rand.Rand) float64 { return d.Lo + float64(rng.Float64()*(d.Hi-d.Lo)) }
 
 // Mean reports the distribution mean.
 func (d Uniform) Mean() float64 { return (d.Lo + d.Hi) / 2 }
@@ -144,7 +144,7 @@ type TruncNormal struct {
 // Sample implements Distribution.
 func (d TruncNormal) Sample(rng *rand.Rand) float64 {
 	for {
-		x := rng.NormFloat64()*d.Sigma + d.Mu
+		x := float64(rng.NormFloat64()*d.Sigma) + d.Mu
 		if x >= d.Lo && x <= d.Hi {
 			return x
 		}
@@ -157,7 +157,7 @@ func (d TruncNormal) Mean() float64 {
 	a := (d.Lo - d.Mu) / d.Sigma
 	b := (d.Hi - d.Mu) / d.Sigma
 	phi := func(x float64) float64 { return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi) }
-	cdf := func(x float64) float64 { return 0.5 * (1 + math.Erf(x/math.Sqrt2)) }
+	cdf := func(x float64) float64 { return float64(0.5 * (1 + math.Erf(x/math.Sqrt2))) }
 	z := cdf(b) - cdf(a)
 	return d.Mu + d.Sigma*(phi(a)-phi(b))/z
 }

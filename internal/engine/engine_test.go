@@ -158,8 +158,8 @@ func TestSessionSurvivesSizeChanges(t *testing.T) {
 
 // badAfter is a noise distribution whose first k samples are
 // exponential and every later one is v, so a run fails mid-flight: a
-// msgnet run with messages and payload boxes still in flight, a sched run
-// with completions still queued.
+// msgnet run with messages still in flight, a sched run with completions
+// still queued.
 type badAfter struct {
 	k *int
 	v float64

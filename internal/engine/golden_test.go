@@ -194,7 +194,7 @@ func goldenMsgnetCrashAt(t *testing.T, d *digest) {
 	for rep := 0; rep < 3; rep++ {
 		seed := uint64(rep) + 17
 		ms, _ := goldenLean(goldenInputs(n, seed))
-		nodes := make([]msgnet.Node, n)
+		nodes := make([]*msgnet.ABDNode, n)
 		abds := make([]*msgnet.ABDNode, n)
 		for i := range nodes {
 			abds[i] = msgnet.NewABDNode(i, n, ms[i])

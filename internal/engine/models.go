@@ -166,9 +166,10 @@ func (*MsgNet) Name() string { return "msgnet" }
 
 // Run implements Model. With a session, the run reuses the session's
 // pooled msgnet.Sim — nodes, replica maps, machines, network queue and
-// slab, RNG streams, and reply-payload pool all survive across
-// instances, which is what cuts the model's per-run allocations by an
-// order of magnitude (BenchmarkEngineSession's msgnet pair). MsgNet does
+// slab, and RNG streams all survive across instances, which is what
+// cuts the model's per-run allocations from about a hundred to two
+// (BenchmarkEngineSession's msgnet pair). Messages are plain values in
+// the slab, so neither path allocates per message. MsgNet does
 // not implement Adversarial — the emulated network has no Δ-schedule
 // hook — so a spec naming an adversary is rejected with the typed error
 // here.

@@ -125,9 +125,9 @@ func (s *Session) hybridAdversary(seed uint64) *hybrid.Random {
 }
 
 // MsgSim returns the session's pooled message-passing simulator: nodes,
-// replica maps, machines, network queue and slab, RNG streams, and
-// reply-payload pool retained across runs, with results bit-identical to
-// a fresh msgnet.Consensus call.
+// replica maps, machines, network queue and slab, and RNG streams
+// retained across runs, with results bit-identical to a fresh
+// msgnet.Consensus call.
 func (s *Session) MsgSim() *msgnet.Sim {
 	if s.msgSim == nil {
 		s.msgSim = msgnet.NewSim()

@@ -1,8 +1,6 @@
 package msgnet
 
 import (
-	"fmt"
-
 	"leanconsensus/internal/machine"
 	"leanconsensus/internal/register"
 	"leanconsensus/internal/trace"
@@ -29,55 +27,20 @@ import (
 // the emulated registers are linearizable — which is all the safety
 // proofs of lean-consensus need.
 
-// tag orders writes: lexicographic on (TS, Writer).
-type tag struct {
+// stored is a replica's state for one register: a value and its tag,
+// the pair (TS, Writer) that orders writes lexicographically.
+type stored struct {
 	TS     int64
 	Writer int32
+	Val    uint32
 }
 
-func (a tag) less(b tag) bool {
+// older reports whether a's tag orders before b's.
+func (a stored) older(b stored) bool {
 	if a.TS != b.TS {
 		return a.TS < b.TS
 	}
 	return a.Writer < b.Writer
-}
-
-// stored is a replica's state for one register.
-type stored struct {
-	Val uint32
-	Tag tag
-}
-
-// Message payloads.
-
-// queryReq asks a replica for its (value, tag) of register Reg. Requests
-// travel as pooled pointers shared by all n deliveries of one broadcast;
-// refs counts deliveries still outstanding (see respPool).
-type queryReq struct {
-	Op   int64 // client's operation sequence number
-	Reg  register.ID
-	refs int32
-}
-
-// queryResp answers a queryReq.
-type queryResp struct {
-	Op  int64
-	Reg register.ID
-	Cur stored
-}
-
-// updateReq asks a replica to adopt (Val, Tag) for Reg if newer. Pooled
-// and refcounted exactly like queryReq.
-type updateReq struct {
-	Op   int64
-	Reg  register.ID
-	New  stored
-	refs int32
-}
-
-// updateResp acknowledges an updateReq.
-type updateResp struct {
-	Op int64
 }
 
 // clientPhase tracks the two-phase structure of an ABD operation.
@@ -100,11 +63,10 @@ type ABDNode struct {
 	// Client state.
 	m       machine.Machine
 	op      machine.Op
-	started bool
 	decided bool
 	failed  bool
 
-	seq       int64 // operation sequence number
+	seq       uint32 // operation sequence number
 	phase     clientPhase
 	acks      int
 	best      stored
@@ -114,16 +76,6 @@ type ABDNode struct {
 	// Stats.
 	ops      int64
 	messages int64
-
-	// out is the node's outgoing-message scratch: every handler builds
-	// its batch here and the network copies the messages into its slab
-	// before the next handler runs, so one buffer per node suffices and
-	// broadcasts allocate nothing in steady state.
-	out []Message
-
-	// pool, when non-nil, recycles reply payloads (see respPool). All
-	// nodes of one simulation share it.
-	pool *respPool
 
 	// Flight recorder (nil when tracing is off). now reads the network's
 	// simulated clock; prevRound tracks the machine's last traced round.
@@ -140,8 +92,7 @@ func NewABDNode(id, n int, m machine.Machine) *ABDNode {
 }
 
 // Reset re-arms the node as process id of n running machine m, keeping
-// the replica map, the outgoing-message scratch, and the payload pool.
-// A reset node behaves bit-identically to a fresh one.
+// the replica map. A reset node behaves bit-identically to a fresh one.
 func (a *ABDNode) Reset(id, n int, m machine.Machine) {
 	a.id, a.n, a.majority = id, n, n/2+1
 	if a.store == nil {
@@ -151,7 +102,7 @@ func (a *ABDNode) Reset(id, n int, m machine.Machine) {
 	}
 	a.m = m
 	a.op = machine.Op{}
-	a.started, a.decided, a.failed = false, false, false
+	a.decided, a.failed = false, false
 	a.seq = 0
 	a.phase = phaseIdle
 	a.acks = 0
@@ -161,104 +112,6 @@ func (a *ABDNode) Reset(id, n int, m machine.Machine) {
 	a.ops, a.messages = 0, 0
 	a.rec, a.now = nil, nil
 	a.prevRound = 0
-}
-
-// respPool recycles the ABD emulation's message payloads — the allocation
-// hot spot: every query/update broadcast is one request box plus one
-// response box per replica, all boxed into Message interface payloads.
-// A response is delivered to exactly one client (or dropped with a
-// crashed receiver), so the receiver returns it here as soon as it has
-// copied the fields it needs. A request box is shared by all n deliveries
-// of its broadcast; its refs field counts deliveries still outstanding and
-// the last receiver returns it. A crash-dropped delivery never decrements,
-// so that box simply falls to the garbage collector — a missed recycle,
-// never a double use. The pool is single-goroutine like the network's
-// event loop itself.
-type respPool struct {
-	q  []*queryResp
-	u  []*updateResp
-	qr []*queryReq
-	ur []*updateReq
-}
-
-// newQueryResp draws a queryResp from the pool (or the heap without one).
-func (a *ABDNode) newQueryResp() *queryResp {
-	if a.pool != nil {
-		if n := len(a.pool.q); n > 0 {
-			r := a.pool.q[n-1]
-			a.pool.q = a.pool.q[:n-1]
-			return r
-		}
-	}
-	return new(queryResp)
-}
-
-// releaseQueryResp returns a delivered queryResp to the pool.
-func (a *ABDNode) releaseQueryResp(r *queryResp) {
-	if a.pool != nil {
-		a.pool.q = append(a.pool.q, r)
-	}
-}
-
-// newUpdateResp draws an updateResp from the pool.
-func (a *ABDNode) newUpdateResp() *updateResp {
-	if a.pool != nil {
-		if n := len(a.pool.u); n > 0 {
-			r := a.pool.u[n-1]
-			a.pool.u = a.pool.u[:n-1]
-			return r
-		}
-	}
-	return new(updateResp)
-}
-
-// releaseUpdateResp returns a delivered updateResp to the pool.
-func (a *ABDNode) releaseUpdateResp(r *updateResp) {
-	if a.pool != nil {
-		a.pool.u = append(a.pool.u, r)
-	}
-}
-
-// newQueryReq draws a queryReq from the pool; the caller sets refs.
-func (a *ABDNode) newQueryReq() *queryReq {
-	if a.pool != nil {
-		if n := len(a.pool.qr); n > 0 {
-			r := a.pool.qr[n-1]
-			a.pool.qr = a.pool.qr[:n-1]
-			return r
-		}
-	}
-	return new(queryReq)
-}
-
-// releaseQueryReq records one delivery of a broadcast queryReq and pools
-// the box when the last outstanding delivery lands.
-func (a *ABDNode) releaseQueryReq(r *queryReq) {
-	r.refs--
-	if r.refs == 0 && a.pool != nil {
-		a.pool.qr = append(a.pool.qr, r)
-	}
-}
-
-// newUpdateReq draws an updateReq from the pool; the caller sets refs.
-func (a *ABDNode) newUpdateReq() *updateReq {
-	if a.pool != nil {
-		if n := len(a.pool.ur); n > 0 {
-			r := a.pool.ur[n-1]
-			a.pool.ur = a.pool.ur[:n-1]
-			return r
-		}
-	}
-	return new(updateReq)
-}
-
-// releaseUpdateReq records one delivery of a broadcast updateReq and
-// pools the box when the last outstanding delivery lands.
-func (a *ABDNode) releaseUpdateReq(r *updateReq) {
-	r.refs--
-	if r.refs == 0 && a.pool != nil {
-		a.pool.ur = append(a.pool.ur, r)
-	}
 }
 
 // Decided reports whether the machine has decided.
@@ -286,13 +139,14 @@ func (a *ABDNode) Preload(id register.ID, val uint32) {
 	a.store[id] = stored{Val: val}
 }
 
-// Done implements Node.
+// Done reports whether the node has finished its work; the network stops
+// when every live node is done (or no messages remain).
 func (a *ABDNode) Done() bool { return a.decided || a.failed }
 
-// Start implements Node: begin the machine's first operation.
-func (a *ABDNode) Start() []Message {
+// Start begins the machine's first operation; the network calls it once,
+// at the node's (dithered) start time.
+func (a *ABDNode) Start() Message {
 	a.op = a.m.Begin()
-	a.started = true
 	if a.rec != nil {
 		a.rec.Append(trace.Event{Time: a.now(), Proc: int32(a.id), Kind: trace.KindStart})
 	}
@@ -300,100 +154,75 @@ func (a *ABDNode) Start() []Message {
 }
 
 // beginOp launches the query phase for the current machine operation.
-func (a *ABDNode) beginOp() []Message {
+func (a *ABDNode) beginOp() Message {
 	a.seq++
 	a.phase = phaseQuery
 	a.acks = 0
 	// The accumulator must start strictly below every replica tag —
 	// including the zero tag carried by preloaded and never-written
 	// registers — or the first response could tie instead of winning.
-	a.best = stored{Tag: tag{TS: -1}}
+	a.best = stored{TS: -1}
 	a.pendingWr = a.op.Kind == register.OpWrite
 	a.wrVal = a.op.Val
-	req := a.newQueryReq()
-	req.Op, req.Reg, req.refs = a.seq, a.op.Reg, int32(a.n)
-	return a.broadcast(req)
+	return a.broadcast(Message{kind: queryReq, op: a.seq, reg: a.op.Reg})
 }
 
-// broadcast sends payload to every process, including self (the loopback
+// broadcast addresses m to every process, including self (the loopback
 // message also goes through the network so that replica state transitions
-// are uniformly message-driven). The batch lives in the node's scratch
-// buffer; the network consumes it before the next handler call.
-func (a *ABDNode) broadcast(payload any) []Message {
-	out := a.out[:0]
-	for to := 0; to < a.n; to++ {
-		out = append(out, Message{To: to, Payload: payload})
-	}
-	a.out = out
+// are uniformly message-driven).
+func (a *ABDNode) broadcast(m Message) Message {
+	m.to = broadcast
 	a.messages += int64(a.n)
-	return out
+	return m
 }
 
-// reply sends one payload back to process to, through the scratch buffer.
-func (a *ABDNode) reply(to int, payload any) []Message {
-	a.out = append(a.out[:0], Message{To: to, Payload: payload})
+// reply addresses m to process to.
+func (a *ABDNode) reply(to int32, m Message) Message {
+	m.to = to
 	a.messages++
-	return a.out
+	return m
 }
 
-// Receive implements Node. Every payload travels as a pooled pointer and
-// is released by its receiver the moment the fields are copied out:
-// responses are delivered exactly once, so the recycle is safe by
-// construction; request boxes are shared by all n deliveries of one
-// broadcast and refcounted, so the last replica to answer returns them.
-func (a *ABDNode) Receive(msg Message) []Message {
-	switch p := msg.Payload.(type) {
-	case *queryReq:
-		resp := a.newQueryResp()
-		resp.Op, resp.Reg, resp.Cur = p.Op, p.Reg, a.store[p.Reg]
-		a.releaseQueryReq(p)
-		return a.reply(msg.From, resp)
+// Receive handles the delivered message m, which it must not retain, and
+// returns the one this node sends in answer, if any.
+func (a *ABDNode) Receive(m *Message) Message {
+	switch m.kind {
+	case queryReq:
+		return a.reply(m.from, Message{kind: queryResp, op: m.op, reg: m.reg, val: a.store[m.reg]})
 
-	case *updateReq:
-		if cur, ok := a.store[p.Reg]; !ok || cur.Tag.less(p.New.Tag) {
-			a.store[p.Reg] = p.New
+	case updateReq:
+		if cur, ok := a.store[m.reg]; !ok || cur.older(m.val) {
+			a.store[m.reg] = m.val
 		}
-		resp := a.newUpdateResp()
-		resp.Op = p.Op
-		a.releaseUpdateReq(p)
-		return a.reply(msg.From, resp)
+		return a.reply(m.from, Message{kind: updateResp, op: m.op})
 
-	case *queryResp:
-		op, cur := p.Op, p.Cur
-		a.releaseQueryResp(p)
-		if a.phase != phaseQuery || op != a.seq || a.Done() {
-			return nil // stale
+	case queryResp:
+		if a.phase != phaseQuery || m.op != a.seq || a.Done() {
+			return Message{} // stale
 		}
-		if a.best.Tag.less(cur.Tag) {
-			a.best = cur
+		if a.best.older(m.val) {
+			a.best = m.val
 		}
 		a.acks++
 		if a.acks < a.majority {
-			return nil
+			return Message{}
 		}
 		// Quorum reached: move to the update phase.
 		a.phase = phaseUpdate
 		a.acks = 0
-		var next stored
+		// A write installs the next tag; a read writes back what it found.
 		if a.pendingWr {
-			next = stored{Val: a.wrVal, Tag: tag{TS: a.best.Tag.TS + 1, Writer: int32(a.id)}}
-		} else {
-			next = a.best // read write-back
+			a.best = stored{TS: a.best.TS + 1, Writer: int32(a.id), Val: a.wrVal}
 		}
-		a.best = next
-		req := a.newUpdateReq()
-		req.Op, req.Reg, req.New, req.refs = a.seq, a.op.Reg, next, int32(a.n)
-		return a.broadcast(req)
+		return a.broadcast(Message{kind: updateReq, op: a.seq, reg: a.op.Reg, val: a.best})
 
-	case *updateResp:
-		op := p.Op
-		a.releaseUpdateResp(p)
-		if a.phase != phaseUpdate || op != a.seq || a.Done() {
-			return nil // stale
+	case updateResp:
+		if a.phase != phaseUpdate || m.op != a.seq || a.Done() {
+			return Message{} // stale
 		}
 		a.acks++
 		if a.acks < a.majority {
-			return nil
+			return Message{}
 		}
 		// Operation complete: feed the machine.
 		a.phase = phaseIdle
@@ -409,18 +238,14 @@ func (a *ABDNode) Receive(msg Message) []Message {
 		switch st {
 		case machine.Decided:
 			a.decided = true
-			return nil
 		case machine.Failed:
 			a.failed = true
-			return nil
 		default:
 			a.op = next
 			return a.beginOp()
 		}
-
-	default:
-		panic(fmt.Sprintf("msgnet: unknown payload %T", msg.Payload))
 	}
+	return Message{}
 }
 
 // traceStep records one completed emulated register operation and any
@@ -456,6 +281,3 @@ func (a *ABDNode) traceStep(result uint32, st machine.Status) {
 		})
 	}
 }
-
-// Interface compliance check.
-var _ Node = (*ABDNode)(nil)

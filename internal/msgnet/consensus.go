@@ -73,17 +73,14 @@ func Consensus(cfg ConsensusConfig) (*ConsensusResult, error) {
 // Sim is a reusable message-passing consensus runner: the pooled
 // analogue of engine.Session for this model. One Sim retains the nodes,
 // their replica maps, the lean machines, the network (event queue,
-// message slab, RNG streams), the reply-payload pool, and the result
-// buffer across runs, so steady-state reruns allocate only per-broadcast
-// payload boxes and whatever the map implementation churns. Every pooled
-// structure resets to exactly its freshly-constructed state, so a Sim's
-// results are bit-identical to Consensus. A Sim is not safe for
-// concurrent use.
+// message slab, RNG streams), and the result buffer across runs.
+// Messages are plain values in the slab, so steady-state reruns allocate
+// almost nothing. Every pooled structure resets to exactly its
+// freshly-constructed state, so a Sim's results are bit-identical to
+// Consensus. A Sim is not safe for concurrent use.
 type Sim struct {
-	nodes []Node
-	abds  []*ABDNode
+	nodes []*ABDNode
 	leans []core.Lean
-	pool  respPool
 	net   Network
 	res   ConsensusResult
 	crash map[int]float64
@@ -104,10 +101,6 @@ func (s *Sim) Run(cfg ConsensusConfig) (*ConsensusResult, error) {
 			return nil, fmt.Errorf("msgnet: input bits must be 0 or 1, got %d", b)
 		}
 	}
-	if len(cfg.Crash) >= (n+1)/2 {
-		return nil, fmt.Errorf("%w: %d crashes among %d processes", ErrNoMajority, len(cfg.Crash), n)
-	}
-
 	backupRounds := cfg.BackupRounds
 	if backupRounds == 0 {
 		backupRounds = 64
@@ -128,11 +121,10 @@ func (s *Sim) Run(cfg ConsensusConfig) (*ConsensusResult, error) {
 		}
 		s.crash[c] = 0
 	}
-
-	if cap(s.nodes) < n {
-		s.nodes = make([]Node, n)
+	if len(s.crash) >= (n+1)/2 {
+		return nil, fmt.Errorf("%w: %d crashes among %d processes", ErrNoMajority, len(s.crash), n)
 	}
-	s.nodes = s.nodes[:n]
+
 	if cfg.RMax == 0 {
 		// Plain lean-consensus machines come from the session-style pool;
 		// the combined protocol keeps per-run construction (its RNG state
@@ -151,22 +143,20 @@ func (s *Sim) Run(cfg ConsensusConfig) (*ConsensusResult, error) {
 			s.leans[i].Reset(layout, cfg.Inputs[i])
 			m = &s.leans[i]
 		}
-		if i < len(s.abds) {
-			s.abds[i].Reset(i, n, m)
+		if i < len(s.nodes) {
+			s.nodes[i].Reset(i, n, m)
 		} else {
-			s.abds = append(s.abds, NewABDNode(i, n, m))
+			s.nodes = append(s.nodes, NewABDNode(i, n, m))
 		}
-		a := s.abds[i]
-		a.pool = &s.pool
 		// The algorithm's read-only prefix a_b[0] = 1 becomes preloaded
 		// replica state (tag zero, older than every real write).
-		a.Preload(layout.A(0, 0), 1)
-		a.Preload(layout.A(1, 0), 1)
-		s.nodes[i] = a
+		s.nodes[i].Preload(layout.A(0, 0), 1)
+		s.nodes[i].Preload(layout.A(1, 0), 1)
 	}
+	nodes := s.nodes[:n]
 
 	if err := s.net.Reset(Config{
-		Nodes:       s.nodes,
+		Nodes:       nodes,
 		Delay:       cfg.Delay,
 		LinkDelay:   cfg.LinkDelay,
 		CrashAt:     s.crash,
@@ -180,8 +170,7 @@ func (s *Sim) Run(cfg ConsensusConfig) (*ConsensusResult, error) {
 		// The nodes and the network live in one package, so the recorder
 		// borrows the event loop's clock directly; appends happen in the
 		// network's deterministic delivery order.
-		for i := 0; i < n; i++ {
-			a := s.abds[i]
+		for _, a := range nodes {
 			a.rec = cfg.Trace
 			a.now = func() float64 { return net.now }
 		}
@@ -200,8 +189,7 @@ func (s *Sim) Run(cfg ConsensusConfig) (*ConsensusResult, error) {
 		Time:      netRes.Time,
 	}
 	out := &s.res
-	for i := 0; i < n; i++ {
-		a := s.abds[i]
+	for i, a := range nodes {
 		out.Decisions[i] = -1
 		out.RegisterOps += a.Ops()
 		out.Messages += a.Messages()

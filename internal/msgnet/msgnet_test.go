@@ -208,7 +208,7 @@ func TestABDReadSeesQuorumWrite(t *testing.T) {
 	r := &abdProbe{script: []machine.Op{
 		{Kind: register.OpRead, Reg: 5},
 	}}
-	nodes := []msgnet.Node{
+	nodes := []*msgnet.ABDNode{
 		msgnet.NewABDNode(0, 3, w),
 		msgnet.NewABDNode(1, 3, r),
 		msgnet.NewABDNode(2, 3, &abdProbe{script: []machine.Op{{Kind: register.OpRead, Reg: 9}}}),
@@ -245,7 +245,7 @@ func TestABDWriteOrderByTags(t *testing.T) {
 	w1 := &abdProbe{script: []machine.Op{{Kind: register.OpWrite, Reg: 1, Val: 10}}}
 	w2 := &abdProbe{script: []machine.Op{{Kind: register.OpWrite, Reg: 1, Val: 20}}}
 	r := &abdProbe{script: []machine.Op{{Kind: register.OpRead, Reg: 1}}}
-	nodes := []msgnet.Node{
+	nodes := []*msgnet.ABDNode{
 		msgnet.NewABDNode(0, 3, w1),
 		msgnet.NewABDNode(1, 3, w2),
 		msgnet.NewABDNode(2, 3, r),
@@ -282,7 +282,7 @@ func TestNetworkValidation(t *testing.T) {
 		t.Error("empty config accepted")
 	}
 	if _, err := msgnet.NewNetwork(msgnet.Config{
-		Nodes: []msgnet.Node{msgnet.NewABDNode(0, 1, &abdProbe{script: []machine.Op{{Kind: register.OpRead, Reg: 0}}})},
+		Nodes: []*msgnet.ABDNode{msgnet.NewABDNode(0, 1, &abdProbe{script: []machine.Op{{Kind: register.OpRead, Reg: 0}}})},
 	}); err == nil {
 		t.Error("missing delay distribution accepted")
 	}

@@ -22,32 +22,43 @@ import (
 
 	"leanconsensus/internal/dist"
 	"leanconsensus/internal/eventq"
+	"leanconsensus/internal/register"
 	"leanconsensus/internal/xrand"
 )
 
-// Message is a payload in flight. Payloads are package-defined structs;
-// the network treats them opaquely.
+// Message is one ABD message: a plain 40-byte value the network copies
+// into its slab. A node answers each delivery with at most one Message: a
+// reply, one addressed to every process (to == broadcast), or the zero
+// Message, which sends nothing.
 type Message struct {
-	From, To int
-	Payload  any
+	kind     kind
+	from, to int32
+	// op is the client's operation number. 32 bits suffice: every
+	// operation sends at least two messages, and a run sends fewer than
+	// 2³² (the network's send sequence).
+	op  uint32
+	reg register.ID
+	val stored // a query's answer or an update's new state
 }
 
-// Node is a participant in the network. Handlers return messages to send;
-// the network assigns delivery times.
-type Node interface {
-	// Start is called once at the node's (dithered) start time.
-	Start() []Message
-	// Receive handles one delivered message.
-	Receive(msg Message) []Message
-	// Done reports whether the node has finished its work; the simulation
-	// stops when every live node is done (or no messages remain).
-	Done() bool
-}
+// kind tells requests from responses, and queries from updates.
+type kind uint8
+
+const (
+	none       kind = iota // nothing to send
+	queryReq               // ask a replica for its state of reg
+	queryResp              // answer a queryReq with the replica's state
+	updateReq              // ask a replica to adopt val if its tag is newer
+	updateResp             // acknowledge an updateReq
+)
+
+// broadcast addresses a Message to every process, the sender included.
+const broadcast = -1
 
 // Config describes a network simulation.
 type Config struct {
 	// Nodes are the participants; index = process id.
-	Nodes []Node
+	Nodes []*ABDNode
 	// Delay is the noise distribution on message delivery (required).
 	Delay dist.Distribution
 	// LinkDelay, when non-nil, adds a deterministic per-link delay
@@ -163,28 +174,36 @@ func (n *Network) crashed(i int, t float64) bool {
 	return ok && ct >= 0 && t >= ct
 }
 
-// send files the messages process from sends at time t. With atRoot set,
-// the queue's root is the delivery being handled: the first message
-// replaces it with one sift-down, and an empty batch pops it.
-func (n *Network) send(from int, t float64, msgs []Message, atRoot bool) error {
-	for _, m := range msgs {
-		if m.To < 0 || m.To >= len(n.cfg.Nodes) {
-			panic(fmt.Sprintf("msgnet: message to unknown process %d", m.To))
+// send files the message m that process from sends at time t; a
+// broadcast becomes one delivery per process, in process order, each with
+// its own delay drawn from the sender's stream. With atRoot set, the
+// queue's root is the delivery being handled: the first delivery replaces
+// it with one sift-down, and sending nothing pops it.
+func (n *Network) send(from int, t float64, m *Message, atRoot bool) error {
+	if m.kind == none {
+		if atRoot {
+			n.queue.Pop()
 		}
-		m.From = from
+		return nil
+	}
+	first, last := int(m.to), int(m.to)
+	if m.to == broadcast {
+		first, last = 0, len(n.cfg.Nodes)-1
+	}
+	for to := first; to <= last; to++ {
 		d := n.cfg.Delay.Sample(n.rngs[from])
 		if n.cfg.LinkDelay != nil {
-			d += n.cfg.LinkDelay(from, m.To)
+			d += n.cfg.LinkDelay(from, to)
 		}
 		if !(d >= 0) {
-			return fmt.Errorf("%w: delivery delay %v from process %d to %d", ErrBadConfig, d, from, m.To)
+			return fmt.Errorf("%w: delivery delay %v from process %d to %d", ErrBadConfig, d, from, to)
 		}
 		if n.seq == math.MaxUint32 {
 			return fmt.Errorf("msgnet: more than %d messages sent; runaway protocol?", n.seq)
 		}
 		n.seq++
 		at := t + d
-		slot := n.hold(at, m)
+		slot := n.hold(at, m, from, to)
 		if atRoot {
 			n.queue.FixTop(at, n.seq, slot)
 			atRoot = false
@@ -192,23 +211,24 @@ func (n *Network) send(from int, t float64, msgs []Message, atRoot bool) error {
 			n.queue.Push(at, n.seq, slot)
 		}
 	}
-	if atRoot {
-		n.queue.Pop()
-	}
 	return nil
 }
 
-// hold puts a message due at time t in a free slab slot and returns the
-// slot.
-func (n *Network) hold(t float64, m Message) uint32 {
+// hold puts a copy of m, addressed from process from to process to and
+// due at time t, in a free slab slot and returns the slot.
+func (n *Network) hold(t float64, m *Message, from, to int) uint32 {
+	var slot uint32
 	if k := len(n.free); k > 0 {
-		slot := n.free[k-1]
+		slot = n.free[k-1]
 		n.free = n.free[:k-1]
-		n.slab[slot] = flight{t: t, msg: m}
-		return slot
+	} else {
+		slot = uint32(len(n.slab))
+		n.slab = append(n.slab, flight{})
 	}
-	n.slab = append(n.slab, flight{t: t, msg: m})
-	return uint32(len(n.slab) - 1)
+	f := &n.slab[slot]
+	f.t, f.msg = t, *m
+	f.msg.from, f.msg.to = int32(from), int32(to)
+	return slot
 }
 
 // Run executes the simulation until quiescence.
@@ -228,21 +248,26 @@ func (n *Network) Run() (*Result, error) {
 		if n.crashed(i, t) {
 			continue
 		}
-		if err := n.send(i, t, node.Start(), false); err != nil {
+		m := node.Start()
+		if err := n.send(i, t, &m, false); err != nil {
 			return nil, err
 		}
 	}
 
 	for n.queue.Len() > 0 {
 		_, slot := n.queue.Top()
-		t, msg := n.slab[slot].t, n.slab[slot].msg
+		// The receiver reads the message in its slab slot. The slot is
+		// free from here on, but only the reply's first delivery can take
+		// it, once the receiver is done.
+		t, msg := n.slab[slot].t, &n.slab[slot].msg
+		to := int(msg.to)
 		n.free = append(n.free, slot)
 		n.now = t
 		n.stats.Time = t
 		// Messages already in flight when the sender crashes are still
 		// delivered (the network is not the failed component); only a
 		// crashed receiver loses messages.
-		if n.crashed(msg.To, t) {
+		if n.crashed(to, t) {
 			n.stats.Dropped++
 			n.queue.Pop()
 			continue
@@ -253,7 +278,8 @@ func (n *Network) Run() (*Result, error) {
 		}
 		// The delivery stays at the root until the receiver's first
 		// message takes its place.
-		if err := n.send(msg.To, t, n.cfg.Nodes[msg.To].Receive(msg), true); err != nil {
+		reply := n.cfg.Nodes[to].Receive(msg)
+		if err := n.send(to, t, &reply, true); err != nil {
 			return nil, err
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // error instead of wrapping the key.
 func TestSendSequenceExhausted(t *testing.T) {
 	net, err := NewNetwork(Config{
-		Nodes: []Node{NewABDNode(0, 1, core.NewLean(register.Layout{}, 0))},
+		Nodes: []*ABDNode{NewABDNode(0, 1, core.NewLean(register.Layout{}, 0))},
 		Delay: dist.Exponential{MeanVal: 1},
 	})
 	if err != nil {

@@ -62,5 +62,5 @@ func (c *contentionState) bump(id int, t float64) {
 // penalty returns the extra delay for an operation targeting a register
 // when scheduled at time t.
 func (c *contentionState) penalty(id int, t float64) float64 {
-	return c.model.Penalty * c.current(id, t)
+	return float64(c.model.Penalty * c.current(id, t))
 }

@@ -39,7 +39,7 @@ func (a *BudgetAntiLeader) StartDelay(int) float64 { return 0 }
 // StepDelay implements Adversary.
 func (a *BudgetAntiLeader) StepDelay(i int, j int64, v View) float64 {
 	a.steps[i] = j
-	budget := float64(j)*a.M - a.spent[i]
+	budget := float64(float64(j)*a.M) - a.spent[i]
 	if budget <= 0 || v == nil {
 		return 0
 	}

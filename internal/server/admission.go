@@ -227,7 +227,7 @@ func (e *rateEWMA) observe(done int64) float64 {
 		return e.rate
 	}
 	sample := float64(done-e.lastDone) / dt.Seconds()
-	e.rate = rateAlpha*sample + (1-rateAlpha)*e.rate
+	e.rate = float64(rateAlpha*sample) + float64((1-rateAlpha)*e.rate)
 	e.last, e.lastDone = now, done
 	return e.rate
 }

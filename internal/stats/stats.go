@@ -20,6 +20,9 @@ type Acc struct {
 
 // Add incorporates one sample.
 func (a *Acc) Add(x float64) {
+	// Add inlines, so without this rounding arm64 fuses a caller's
+	// product, as in Add(s*1e6), into x - a.mean below.
+	x = float64(x)
 	a.n++
 	if a.n == 1 {
 		a.min, a.max = x, x
@@ -33,7 +36,7 @@ func (a *Acc) Add(x float64) {
 	}
 	d := x - a.mean
 	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
+	a.m2 += float64(d * (x - a.mean))
 }
 
 // N reports the number of samples.
@@ -91,13 +94,13 @@ func Percentile(samples []float64, p float64) float64 {
 	if p >= 100 {
 		return s[len(s)-1]
 	}
-	pos := p / 100 * float64(len(s)-1)
+	pos := float64(p / 100 * float64(len(s)-1))
 	lo := int(math.Floor(pos))
 	frac := pos - float64(lo)
 	if lo+1 >= len(s) {
 		return s[lo]
 	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[lo+1]*frac)
 }
 
 // Mean returns the arithmetic mean of samples (NaN when empty).
@@ -134,15 +137,15 @@ func FitLine(x, y []float64) (LinFit, error) {
 	var sxx, sxy, syy float64
 	for i := range x {
 		dx, dy := x[i]-mx, y[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
+		sxx += float64(dx * dx)
+		sxy += float64(dx * dy)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 {
 		return LinFit{}, fmt.Errorf("stats: x values are all equal")
 	}
 	slope := sxy / sxx
-	fit := LinFit{Slope: slope, Intercept: my - slope*mx}
+	fit := LinFit{Slope: slope, Intercept: my - float64(slope*mx)}
 	if syy > 0 {
 		fit.R2 = sxy * sxy / (sxx * syy)
 	} else {

@@ -49,7 +49,7 @@ func (s *Summary) Add(x float64) {
 	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.m2 += float64(d * (x - s.mean))
 	s.buckets[bucketOf(x)]++
 }
 
