@@ -456,7 +456,10 @@ func (c *Client) streamEvents(ctx context.Context, path string, each func(event 
 // StreamJob subscribes to the job's SSE progress stream, calling fn
 // (when non-nil) for every progress snapshot, and returns the final
 // status carried by the terminal "done" event. A failed job returns its
-// status together with a non-nil error, exactly like WaitJob.
+// status together with a non-nil error, exactly like WaitJob. A job the
+// service hands to its successor at a checkpoint-and-stop shutdown
+// never finishes on this stream: it ends without "done", and StreamJob
+// returns an error and no status.
 func (c *Client) StreamJob(ctx context.Context, id string, fn func(JobStatus)) (*JobStatus, error) {
 	var final *JobStatus
 	err := c.streamEvents(ctx, "/v1/jobs/"+url.PathEscape(id)+"/stream", func(event string, data []byte) (bool, error) {
@@ -547,7 +550,10 @@ func campaignError(st *CampaignStatus) error {
 
 // StreamCampaign subscribes to the campaign's SSE progress stream,
 // calling fn (when non-nil) for every cell-progress snapshot, and
-// returns the final status carried by the terminal "done" event.
+// returns the final status carried by the terminal "done" event. A
+// campaign the service hands to its successor at a checkpoint-and-stop
+// shutdown resumes there, not on this stream: it ends without "done",
+// and StreamCampaign returns an error and no status.
 func (c *Client) StreamCampaign(ctx context.Context, id string, fn func(CampaignStatus)) (*CampaignStatus, error) {
 	var final *CampaignStatus
 	err := c.streamEvents(ctx, "/v1/campaigns/"+url.PathEscape(id)+"/stream", func(event string, data []byte) (bool, error) {

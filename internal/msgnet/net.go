@@ -232,7 +232,7 @@ func (n *Network) hold(t float64, m *Message, from, to int) uint32 {
 }
 
 // Run executes the simulation until quiescence.
-func (n *Network) Run() (*Result, error) {
+func (n *Network) Run() (Result, error) {
 	maxMessages := n.cfg.MaxMessages
 	if maxMessages == 0 {
 		maxMessages = 10_000_000
@@ -250,7 +250,7 @@ func (n *Network) Run() (*Result, error) {
 		}
 		m := node.Start()
 		if err := n.send(i, t, &m, false); err != nil {
-			return nil, err
+			return Result{}, err
 		}
 	}
 
@@ -274,13 +274,13 @@ func (n *Network) Run() (*Result, error) {
 		}
 		n.stats.Delivered++
 		if n.stats.Delivered > maxMessages {
-			return nil, fmt.Errorf("msgnet: more than %d messages; runaway protocol?", maxMessages)
+			return Result{}, fmt.Errorf("msgnet: more than %d messages; runaway protocol?", maxMessages)
 		}
 		// The delivery stays at the root until the receiver's first
 		// message takes its place.
 		reply := n.cfg.Nodes[to].Receive(msg)
 		if err := n.send(to, t, &reply, true); err != nil {
-			return nil, err
+			return Result{}, err
 		}
 	}
 
@@ -290,6 +290,5 @@ func (n *Network) Run() (*Result, error) {
 			n.stats.AllDone = false
 		}
 	}
-	out := n.stats
-	return &out, nil
+	return n.stats, nil
 }

@@ -1,9 +1,6 @@
 package server
 
 import (
-	"fmt"
-	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,24 +32,6 @@ const DefaultTenantShare = 0.5
 // bounded no matter what names arrive; past the cap, new names fold
 // into the unnamed default bucket.
 const DefaultMaxTenants = 64
-
-// tenantFrom extracts and validates the X-Lean-Tenant header: empty
-// when absent, a 400-worthy error when malformed.
-func tenantFrom(r *http.Request) (string, error) {
-	v := strings.TrimSpace(r.Header.Get(TenantHeader))
-	if v == "" {
-		return "", nil
-	}
-	if len(v) > maxTenantLen {
-		return "", fmt.Errorf("server: %s longer than %d bytes", TenantHeader, maxTenantLen)
-	}
-	for _, c := range v {
-		if c < 0x20 || c == 0x7f {
-			return "", fmt.Errorf("server: %s contains control characters", TenantHeader)
-		}
-	}
-	return v, nil
-}
 
 // tenant is one admission bucket: the instances it has queued. Returns
 // are lock-free atomic decrements (they happen on completion paths);
@@ -247,45 +226,4 @@ func (s *Server) retryAfter(queued int64) int64 {
 		secs = 60
 	}
 	return secs
-}
-
-// evictFinished trims table to at most max entries, evicting finished
-// entries in roughly creation order; live entries are never evicted.
-// It returns the updated order slice.
-//
-// skip persists across calls: entries before it were live on the last
-// scan, so the common case — a long prefix of long-running work ahead
-// of freshly finished entries — costs one scan from the frontier
-// instead of an O(n²) restart from the front. When a scan from the
-// frontier finds nothing evictable, the prefix is rescanned once
-// (entries skipped earlier may have finished since); only then does
-// the table run long.
-func evictFinished[T interface{ finished() bool }](table map[string]T, order []string, max int, skip *int, onEvict func(id string)) []string {
-	for len(table) > max {
-		if *skip > len(order) {
-			*skip = 0
-		}
-		found := -1
-		for i := *skip; i < len(order); i++ {
-			if e, ok := table[order[i]]; ok && e.finished() {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			if *skip == 0 {
-				return order // everything live; let the table run long
-			}
-			*skip = 0
-			continue
-		}
-		id := order[found]
-		delete(table, id)
-		order = append(order[:found], order[found+1:]...)
-		*skip = found
-		if onEvict != nil {
-			onEvict(id)
-		}
-	}
-	return order
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -100,53 +101,72 @@ func TestGCPauseCacheRefreshesOnTTL(t *testing.T) {
 	}
 }
 
-// evictEntry is a minimal finished()-bearing table entry.
-type evictEntry struct{ fin bool }
+// evictServer is a bare server with table bound max, for driving
+// evictLocked directly.
+func evictServer(max int) *Server {
+	return &Server{cfg: Config{MaxJobsKept: max}, units: map[string]*unit{}}
+}
 
-func (e *evictEntry) finished() bool { return e.fin }
+// addUnit appends a unit of kind k to s's table without evicting.
+func addUnit(s *Server, k *kind, id string, finished bool) *unit {
+	u := &unit{id: id, kind: k}
+	if finished {
+		u.state.Store(int32(stateDone))
+	}
+	s.units[id] = u
+	s.order = append(s.order, u)
+	k.kept++
+	return u
+}
 
-// TestEvictFinishedChurn drives the shared eviction helper through the
-// access pattern that used to be O(n²): a long prefix of live entries
-// ahead of a churning tail of finished ones. The skip frontier must keep
-// each call's scan short, live entries must survive every round, and
-// finished entries must leave oldest-first.
+// TestEvictFinishedChurn drives eviction through the access pattern
+// that used to be O(n²): a long prefix of live jobs ahead of a churning
+// tail of finished ones. The skip frontier must keep each call's scan
+// short, live entries must survive every round, and finished entries
+// must leave oldest-first. Finished campaigns interleave with the jobs
+// in the one table, and MaxJobsKept bounds each kind on its own: while
+// the campaigns are under it, none is evicted.
 func TestEvictFinishedChurn(t *testing.T) {
 	const livePrefix = 512
 	const max = livePrefix + 8
-	table := map[string]*evictEntry{}
-	var order []string
-	id := 0
-	add := func(fin bool) string {
-		id++
-		key := fmt.Sprintf("e-%06d", id)
-		table[key] = &evictEntry{fin: fin}
-		order = append(order, key)
-		return key
-	}
+	s := evictServer(max)
+	jobs, camps := &s.jobKind, &s.campKind
 	for i := 0; i < livePrefix; i++ {
-		add(false)
+		addUnit(s, jobs, fmt.Sprintf("j-%06d", i+1), false)
 	}
-
-	skip := 0
-	var evicted []string
-	onEvict := func(id string) { evicted = append(evicted, id) }
 
 	// Churn: rounds of finished arrivals, evicting after each insert the
 	// way the submit path does.
+	var finished, evicted []string
 	for round := 0; round < 200; round++ {
-		add(true)
-		order = evictFinished(table, order, max, &skip, onEvict)
-		if len(table) > max {
-			t.Fatalf("round %d: table at %d, bound %d", round, len(table), max)
+		addUnit(s, camps, fmt.Sprintf("c-%06d", round+1), true)
+		id := fmt.Sprintf("j-%06d", livePrefix+round+1)
+		addUnit(s, jobs, id, true)
+		finished = append(finished, id)
+		s.evictLocked(jobs)
+		if jobs.kept > max {
+			t.Fatalf("round %d: %d jobs kept, bound %d", round, jobs.kept, max)
+		}
+		for _, f := range finished {
+			if s.units[f] == nil && !slices.Contains(evicted, f) {
+				evicted = append(evicted, f)
+			}
 		}
 	}
 	for i := 0; i < livePrefix; i++ {
-		key := fmt.Sprintf("e-%06d", i+1)
-		if table[key] == nil {
+		key := fmt.Sprintf("j-%06d", i+1)
+		if s.units[key] == nil {
 			t.Fatalf("live prefix entry %s evicted", key)
 		}
 	}
+	if camps.kept != 200 || len(s.units) != jobs.kept+camps.kept || len(s.order) != len(s.units) {
+		t.Fatalf("table %d units (order %d), kept %d jobs + %d campaigns; want all 200 campaigns",
+			len(s.units), len(s.order), jobs.kept, camps.kept)
+	}
 	// Finished entries left oldest-first.
+	if len(evicted) == 0 {
+		t.Fatal("nothing evicted")
+	}
 	for i := 1; i < len(evicted); i++ {
 		if evicted[i] <= evicted[i-1] {
 			t.Fatalf("eviction out of order: %s after %s", evicted[i], evicted[i-1])
@@ -155,17 +175,17 @@ func TestEvictFinishedChurn(t *testing.T) {
 	// The frontier skips the live prefix: a scan after warm-up must not
 	// restart from the front. (Behavioral proxy: the skip index sits past
 	// the live prefix once the pattern stabilizes.)
-	if skip < livePrefix-1 {
-		t.Errorf("skip frontier = %d, want at or past the %d-entry live prefix", skip, livePrefix)
+	if jobs.skip < livePrefix-1 {
+		t.Errorf("skip frontier = %d, want at or past the %d-entry live prefix", jobs.skip, livePrefix)
 	}
 
 	// All-live tables are left alone rather than spun on.
-	table2 := map[string]*evictEntry{"a": {}, "b": {}}
-	order2 := []string{"a", "b"}
-	skip2 := 0
-	got := evictFinished(table2, order2, 1, &skip2, nil)
-	if len(table2) != 2 || len(got) != 2 {
-		t.Errorf("all-live table was evicted: %v", got)
+	s2 := evictServer(1)
+	addUnit(s2, &s2.jobKind, "a", false)
+	addUnit(s2, &s2.jobKind, "b", false)
+	s2.evictLocked(&s2.jobKind)
+	if len(s2.units) != 2 || len(s2.order) != 2 {
+		t.Errorf("all-live table was evicted: %d left", len(s2.units))
 	}
 }
 
@@ -173,26 +193,49 @@ func TestEvictFinishedChurn(t *testing.T) {
 // finished since must still be found — the frontier resets and rescans
 // the prefix exactly once before giving up.
 func TestEvictFinishedPrefixRescan(t *testing.T) {
-	a, b, c, d := &evictEntry{}, &evictEntry{}, &evictEntry{fin: true}, &evictEntry{}
-	table := map[string]*evictEntry{"a": a, "b": b, "c": c}
-	order := []string{"a", "b", "c"}
-	skip := 0
+	s := evictServer(2)
+	k := &s.jobKind
+	a := addUnit(s, k, "a", false)
+	addUnit(s, k, "b", false)
+	addUnit(s, k, "c", true)
 
 	// First eviction takes c and parks the frontier past the live a, b.
-	order = evictFinished(table, order, 2, &skip, nil)
-	if table["c"] != nil || len(order) != 2 {
-		t.Fatalf("first eviction = %v, skip %d", order, skip)
+	s.evictLocked(k)
+	if s.units["c"] != nil || len(s.order) != 2 {
+		t.Fatalf("first eviction left %d entries, skip %d", len(s.order), k.skip)
 	}
 
 	// a finishes behind the frontier; a new live d pushes past the bound.
-	a.fin = true
-	table["d"] = d
-	order = append(order, "d")
-	order = evictFinished(table, order, 2, &skip, nil)
-	if table["a"] != nil {
-		t.Fatalf("prefix rescan missed the finished head entry; order %v", order)
+	a.state.Store(int32(stateDone))
+	addUnit(s, k, "d", false)
+	s.evictLocked(k)
+	if s.units["a"] != nil {
+		t.Fatal("prefix rescan missed the finished head entry")
 	}
-	if table["b"] == nil || table["d"] == nil {
-		t.Fatalf("rescan evicted a live entry; order %v", order)
+	if s.units["b"] == nil || s.units["d"] == nil {
+		t.Fatal("rescan evicted a live entry")
+	}
+}
+
+// TestEvictFrontierAcrossKinds: evicting a campaign ahead of the job
+// frontier shifts the one order slice, and the frontier must shift with
+// it, or the next job eviction skips the oldest finished job.
+func TestEvictFrontierAcrossKinds(t *testing.T) {
+	s := evictServer(2)
+	jobs, camps := &s.jobKind, &s.campKind
+	addUnit(s, camps, "c1", true)
+	addUnit(s, jobs, "j1", false)
+	addUnit(s, jobs, "j2", true)
+	addUnit(s, jobs, "j3", true)
+	s.evictLocked(jobs) // takes j2; the job frontier parks at j3
+	addUnit(s, jobs, "j4", true)
+	addUnit(s, camps, "c2", true)
+	addUnit(s, camps, "c3", true)
+	s.evictLocked(camps) // takes c1, ahead of the job frontier
+	s.evictLocked(jobs)
+	for id, want := range map[string]bool{"c1": false, "c2": true, "c3": true, "j1": true, "j2": false, "j3": false, "j4": true} {
+		if got := s.units[id] != nil; got != want {
+			t.Errorf("%s kept = %v, want %v", id, got, want)
+		}
 	}
 }

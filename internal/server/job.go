@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,30 +16,6 @@ import (
 	"leanconsensus/internal/obslog"
 	"leanconsensus/internal/trace"
 )
-
-// jobState is a job's lifecycle position.
-type jobState int32
-
-const (
-	stateQueued jobState = iota
-	stateRunning
-	stateDone
-	stateFailed
-)
-
-// name renders the state for the wire.
-func (s jobState) name() string {
-	switch s {
-	case stateQueued:
-		return "queued"
-	case stateRunning:
-		return "running"
-	case stateDone:
-		return "done"
-	default:
-		return "failed"
-	}
-}
 
 // specRun is one spec's execution state inside a job. Progress fields
 // are atomics written from arena workers (by the cells' progress sink)
@@ -54,52 +33,25 @@ type specRun struct {
 	traces []trace.Instance
 }
 
-// job is one admitted batch.
+// job is one admitted batch of job specs: the job-specific part of its
+// unit.
 type job struct {
-	id      string
-	created time.Time
-	corr    string  // X-Lean-Correlation: cross-process parent of the job's root events
-	tenant  string  // X-Lean-Tenant: the admission bucket the batch counts against
-	tb      *tenant // the bucket itself, for reservation returns
-	specs   []*specRun
+	unit
+	specs []*specRun
 
 	// submit is the original request body (durable state only): it is
 	// what the job's "admitted" record stores, and what a successor
 	// process re-decodes to re-run interrupted work.
 	submit []byte
-	// logged is the ticket of the job's admit frame in the state log (0
-	// when restored at boot or when state is off).
-	logged uint64
 	// restored, when non-nil, is a terminal snapshot loaded from the
 	// state log after a restart; it is served verbatim.
 	restored *JobStatus
-
-	state atomic.Int32
-	errMu sync.Mutex
-	err   error
-
-	done chan struct{} // closed when the job finishes (done or failed)
 }
 
-// totalInstances sums the batch's instance counts — the size of its
-// admission reservation.
-func (j *job) totalInstances() int64 {
-	var t int64
-	for _, sr := range j.specs {
-		t += int64(sr.job.Instances)
-	}
-	return t
-}
-
-// newJob builds the bookkeeping for one admitted batch.
-func newJob(id string, batch *Batch, shards int, corr string) *job {
-	j := &job{
-		id:      id,
-		created: time.Now(),
-		corr:    corr,
-		specs:   make([]*specRun, len(batch.Jobs)),
-		done:    make(chan struct{}),
-	}
+// newJob builds the bookkeeping for one decoded batch; the batch's
+// instance count is the size of its admission reservation.
+func newJob(batch *Batch, shards int) *job {
+	j := &job{specs: make([]*specRun, len(batch.Jobs))}
 	for i := range batch.Jobs {
 		j.specs[i] = &specRun{
 			spec:     batch.Specs[i],
@@ -107,38 +59,78 @@ func newJob(id string, batch *Batch, shards int, corr string) *job {
 			traceK:   batch.TraceK,
 			perShard: make([]atomic.Int64, shards),
 		}
+		j.instances += int64(batch.Jobs[i].Instances)
 	}
 	return j
 }
 
-// statusName renders the current lifecycle state.
-func (j *job) statusName() string { return jobState(j.state.Load()).name() }
-
-// finished reports whether the job has reached a terminal state.
-func (j *job) finished() bool {
-	st := jobState(j.state.Load())
-	return st == stateDone || st == stateFailed
+// decodeJob reads and resolves a POST /v1/jobs body. The body is
+// buffered before decoding: with durable state armed it becomes the
+// record's stored submit, re-decoded through the same decoder if a
+// crash forces a re-run.
+func decodeJob(s *Server, w http.ResponseWriter, r *http.Request) (work, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		return nil, fmt.Errorf("server: bad request body: %v", err)
+	}
+	batch, err := DecodeSubmit(bytes.NewReader(body), s.cfg.MaxBatch)
+	if err != nil {
+		return nil, err
+	}
+	j := newJob(batch, s.cfg.Shards)
+	if s.state != nil {
+		j.submit = body
+	}
+	return j, nil
 }
+
+// restoreJob rebuilds a job from its folded state record.
+func restoreJob(s *Server, rec *stateRecord) (work, error) {
+	if rec.Status != recAdmitted {
+		if rec.Job == nil {
+			return nil, fmt.Errorf("server: state record %s has no final snapshot", rec.ID)
+		}
+		return &job{restored: rec.Job}, nil
+	}
+	// The stored submit re-decodes through the admission path's own
+	// decoder; results are a pure function of the spec, so the re-run
+	// serves what the interrupted run would have.
+	batch, err := DecodeSubmit(bytes.NewReader(rec.Submit), 0)
+	if err != nil {
+		return nil, fmt.Errorf("server: state record %s: %v", rec.ID, err)
+	}
+	j := newJob(batch, s.cfg.Shards)
+	j.submit = rec.Submit
+	return j, nil
+}
+
+// labels puts a single-spec batch's (the common case) workload axes on
+// its admit event; multi-spec batches carry them per spec via metrics.
+func (j *job) labels() obslog.Labels {
+	if len(j.specs) != 1 {
+		return obslog.Labels{}
+	}
+	jb := j.specs[0].job
+	return obslog.Labels{Model: jb.ModelName, Dist: jb.DistName, Adversary: jb.AdvName, N: jb.N}
+}
+
+func (j *job) status() any { return j.snapshot() }
 
 // snapshot assembles the wire status from the live counters. A job
 // restored from a terminal state record serves its stored snapshot
 // verbatim — the record is the history.
-func (j *job) snapshot() JobStatus {
+func (j *job) snapshot() *JobStatus {
 	if j.restored != nil {
-		return *j.restored
+		return j.restored
 	}
-	st := JobStatus{
+	st := &JobStatus{
 		ID:      j.id,
 		Status:  j.statusName(),
 		Created: j.created,
 		Tenant:  j.tenant,
 		Specs:   make([]SpecStatus, len(j.specs)),
+		Error:   j.errorText(),
 	}
-	j.errMu.Lock()
-	if j.err != nil {
-		st.Error = j.err.Error()
-	}
-	j.errMu.Unlock()
 	for i, sr := range j.specs {
 		ss := SpecStatus{
 			Spec:      sr.spec,
@@ -160,81 +152,25 @@ func (j *job) snapshot() JobStatus {
 	return st
 }
 
-// runJob executes every spec of one admitted job, in order, on its own
-// arenas. It owns the job's queued-instance reservation: each finished
-// instance returns its unit to the admission gate.
-func (s *Server) runJob(j *job) {
-	defer s.wg.Done()
-	select {
-	case s.sem <- struct{}{}:
-	case <-s.stopCtx.Done():
-		// Checkpoint-and-stop drain (durable state armed): the job never
-		// started, its record is still "admitted", and the successor
-		// process re-runs it — hand back the reservation and leave.
-		s.release(j.tb, j.totalInstances())
-		close(j.done)
+func (j *job) body(rec *stateRecord) {
+	if rec.Status == recAdmitted {
+		rec.Submit = j.submit
 		return
 	}
-	defer func() { <-s.sem }()
+	rec.Job = j.snapshot()
+}
 
-	j.state.Store(int32(stateRunning))
-	s.mRunning.Inc()
-	defer s.mRunning.Dec()
+// run executes every spec of the job, in order, on its own arenas; each
+// finished instance returns its unit to the admission gate.
+func (j *job) run(s *Server) error {
 	s.journal.Append(obslog.KindJobStart, j.id, j.corr, obslog.Labels{})
-
 	var failed error
 	for _, sr := range j.specs {
 		if err := s.runSpec(j, sr); err != nil && failed == nil {
 			failed = err
 		}
 	}
-	outcome := "ok"
-	if failed != nil {
-		j.errMu.Lock()
-		j.err = failed
-		j.errMu.Unlock()
-		j.state.Store(int32(stateFailed))
-		s.mFailed.Inc()
-		outcome = failed.Error()
-	} else {
-		j.state.Store(int32(stateDone))
-		s.mCompleted.Inc()
-	}
-	if s.state != nil {
-		s.saveJobTerminal(j)
-	}
-	s.journal.Append(obslog.KindJobDone, j.id, j.corr, obslog.Labels{Detail: outcome})
-	close(j.done)
-}
-
-// saveJobTerminal appends j's terminal frame, under s.mu and only while
-// j is still the table's entry, and waits for its commit. The job is
-// already in a terminal state, so a concurrent evictLocked may have
-// deleted the entry and appended its evict frame; a terminal frame
-// after it would resurrect the evicted ID at the next boot, with disk
-// and table disagreeing. Appending under s.mu orders the two: either
-// the terminal frame lands first and the evict frame follows it, or
-// eviction wins and the save is skipped.
-//
-// A failed commit needs no handling: either the rewrite that follows it
-// carries the finished job from the table, or the record stays
-// "admitted" and the next boot re-runs the job, which serves the same
-// deterministic outcome.
-func (s *Server) saveJobTerminal(j *job) {
-	rec, err := encodeRecord(j.record())
-	if err != nil {
-		return
-	}
-	s.mu.Lock()
-	if s.jobs[j.id] != j {
-		s.mu.Unlock()
-		return
-	}
-	t, err := s.state.append(j.id, rec, false)
-	s.mu.Unlock()
-	if err == nil {
-		s.state.wait(t) //nolint:errcheck // see above
-	}
+	return failed
 }
 
 // runSpec serves one spec on a fresh arena as the one-cell campaign with

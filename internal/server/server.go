@@ -2,39 +2,38 @@
 // HTTP/JSON consensus service over the sharded arena, with batching,
 // admission control, and live telemetry.
 //
-// A client POSTs a batch of job specs to /v1/jobs; each spec names an
-// execution model, noise distribution, instance shape, and seed, and is
-// validated through the engine's model/variant registries and the
-// distribution registry before anything runs (engine.JobSpec.Resolve).
-// Jobs execute asynchronously on per-spec arenas sharing the server's
-// pool shape, each spec as arena cells; clients poll GET /v1/jobs/{id},
-// or subscribe to
-// GET /v1/jobs/{id}/stream for per-shard progress as server-sent
+// A client POSTs a batch of job specs to /v1/jobs, or a campaign grid to
+// /v1/campaigns; each spec names an execution model, noise distribution,
+// instance shape, and seed, and is validated through the engine's
+// model/variant registries and the distribution registry before anything
+// runs. Both kinds are admitted units in one table with one lifecycle —
+// one submit handler, one runner (an execution slot, then the run), one
+// terminal save, one eviction — and differ only in a small per-kind part
+// (unit.go): a job runs its specs as arena cells, a campaign its grid.
+// Clients poll GET /v1/{jobs,campaigns}/{id}, or subscribe to
+// GET /v1/{jobs,campaigns}/{id}/stream for progress as server-sent
 // events. GET /v1/models lists everything the registries know, /healthz
 // reports liveness, and /metrics exposes the internal/metrics registry
 // in Prometheus text format.
 //
-// Backpressure is explicit and two-layered. Inside a job, a spec's reps
-// run as at most one cell per arena worker, so in-flight work is bounded
-// by the pool. Across jobs, the server tracks admitted-but-unfinished
+// Backpressure is explicit and two-layered. Inside a unit, work runs as
+// at most one cell per arena worker, so in-flight work is bounded by the
+// pool. Across units, the server tracks admitted-but-unfinished
 // instances and sheds load once that queue depth crosses the configured
 // high-water mark: the POST is rejected with 429 and a Retry-After
 // estimate instead of being buffered without bound. Shutdown is a
 // drain, not a drop: Close stops admissions and waits for every running
-// job, which in turn waits on each arena's graceful Close.
+// unit, which in turn waits on each arena's graceful Close.
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"path"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -90,7 +89,8 @@ type Config struct {
 	// MaxConcurrentJobs bounds jobs executing at once; further admitted
 	// jobs wait in "queued" state (default GOMAXPROCS/2, min 1).
 	MaxConcurrentJobs int
-	// MaxJobsKept bounds the job table (default DefaultMaxJobsKept).
+	// MaxJobsKept bounds the jobs in the table, and separately the
+	// campaigns (default DefaultMaxJobsKept).
 	MaxJobsKept int
 	// Registry receives the server's and every job arena's telemetry; New
 	// creates one when nil. Expose it at /metrics or share it across
@@ -147,16 +147,12 @@ type Server struct {
 	reg *metrics.Registry
 	mux *http.ServeMux
 
-	mu         sync.Mutex
-	jobs       map[string]*job
-	order      []string // creation order, for eviction
-	evictSkip  int      // eviction scan frontier into order
-	seq        uint64
-	campaigns  map[string]*campaignRun
-	corder     []string // campaign creation order, for eviction
-	cevictSkip int      // eviction scan frontier into corder
-	cseq       uint64
-	closed     bool
+	mu       sync.Mutex
+	units    map[string]*unit // admitted jobs and campaigns, by ID
+	order    []*unit          // creation order, for eviction
+	jobKind  kind
+	campKind kind
+	closed   bool
 
 	wg     sync.WaitGroup // running jobs and campaigns
 	sem    chan struct{}  // bounds concurrently executing jobs/campaigns
@@ -183,19 +179,8 @@ type Server struct {
 	gcNow  func() time.Time // injectable for tests
 	gcRead func() float64
 
-	mAccepted  *metrics.Counter
-	mRejected  *metrics.Counter
-	mCompleted *metrics.Counter
-	mFailed    *metrics.Counter
-	mRunning   *metrics.Gauge
-
-	mCampAccepted  *metrics.Counter
-	mCampRejected  *metrics.Counter
-	mCampCompleted *metrics.Counter
-	mCampFailed    *metrics.Counter
-	mCampRunning   *metrics.Gauge
-	campMetrics    *campaign.Metrics
-	campAxes       *campaign.AxisMetrics
+	campMetrics *campaign.Metrics
+	campAxes    *campaign.AxisMetrics
 
 	journal  *obslog.Journal
 	store    *store.Store
@@ -247,30 +232,24 @@ func New(cfg Config) (*Server, error) {
 		cfg.Registry = metrics.NewRegistry()
 	}
 	s := &Server{
-		cfg:       cfg,
-		reg:       cfg.Registry,
-		jobs:      make(map[string]*job),
-		campaigns: make(map[string]*campaignRun),
-		tenants:   make(map[string]*tenant),
-		sem:       make(chan struct{}, cfg.MaxConcurrentJobs),
-		gcNow:     time.Now,
-		gcRead:    gcPauseP99Ms,
+		cfg:     cfg,
+		reg:     cfg.Registry,
+		units:   make(map[string]*unit),
+		tenants: make(map[string]*tenant),
+		sem:     make(chan struct{}, cfg.MaxConcurrentJobs),
+		gcNow:   time.Now,
+		gcRead:  gcPauseP99Ms,
+		jobKind: kind{noun: "job", idFormat: "j-%06d", route: "/v1/jobs/",
+			admitEv: obslog.KindJobAdmit, doneEv: obslog.KindJobDone, decode: decodeJob, restore: restoreJob},
+		campKind: kind{noun: "campaign", idFormat: "c-%06d", route: "/v1/campaigns/",
+			admitEv: obslog.KindCampaignStart, doneEv: obslog.KindCampaignDone, checkpoints: true,
+			decode: decodeCampaign, restore: restoreCampaign},
 	}
 	s.rate.now = time.Now
 	s.rate.rate = initialRate
 	s.stopCtx, s.stopFn = context.WithCancel(context.Background())
-	const jobsTotal = "leanconsensus_jobs_total"
-	s.mAccepted = s.reg.Counter(jobsTotal+metrics.Labels("event", "accepted"), "job batches by lifecycle event")
-	s.mRejected = s.reg.Counter(jobsTotal+metrics.Labels("event", "rejected"), "job batches by lifecycle event")
-	s.mCompleted = s.reg.Counter(jobsTotal+metrics.Labels("event", "completed"), "job batches by lifecycle event")
-	s.mFailed = s.reg.Counter(jobsTotal+metrics.Labels("event", "failed"), "job batches by lifecycle event")
-	s.mRunning = s.reg.Gauge("leanconsensus_jobs_running", "jobs currently executing")
-	const campaignsTotal = "leanconsensus_campaigns_total"
-	s.mCampAccepted = s.reg.Counter(campaignsTotal+metrics.Labels("event", "accepted"), "campaigns by lifecycle event")
-	s.mCampRejected = s.reg.Counter(campaignsTotal+metrics.Labels("event", "rejected"), "campaigns by lifecycle event")
-	s.mCampCompleted = s.reg.Counter(campaignsTotal+metrics.Labels("event", "completed"), "campaigns by lifecycle event")
-	s.mCampFailed = s.reg.Counter(campaignsTotal+metrics.Labels("event", "failed"), "campaigns by lifecycle event")
-	s.mCampRunning = s.reg.Gauge("leanconsensus_campaigns_running", "campaigns currently executing")
+	s.jobKind.register(s.reg, "job batches by lifecycle event")
+	s.campKind.register(s.reg, "campaigns by lifecycle event")
 	s.campMetrics = campaign.NewMetrics(s.reg)
 	s.campAxes = campaign.NewAxisMetrics(s.reg)
 	s.reg.GaugeFunc("leanconsensus_queued_instances",
@@ -283,12 +262,11 @@ func New(cfg Config) (*Server, error) {
 	// Durable state restores before the journal store arms: the restored
 	// tables and continued ID sequences must exist before any replayed
 	// history is followed or any resumed work journals new events.
-	var rerunJobs []*job
-	var rerunCampaigns []*campaignRun
+	var rerun []*unit
 	var torn int64
 	if cfg.StateDir != "" {
 		var err error
-		if rerunJobs, rerunCampaigns, torn, err = s.armState(); err != nil {
+		if rerun, torn, err = s.armState(); err != nil {
 			return nil, err
 		}
 	}
@@ -315,13 +293,13 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
+	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit(&s.jobKind))
+	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus(&s.jobKind))
+	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream(&s.jobKind))
 	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
-	s.mux.HandleFunc("POST /v1/campaigns", s.handleCampaignSubmit)
-	s.mux.HandleFunc("GET /v1/campaigns/{id}", s.handleCampaign)
-	s.mux.HandleFunc("GET /v1/campaigns/{id}/stream", s.handleCampaignStream)
+	s.mux.HandleFunc("POST /v1/campaigns", s.handleSubmit(&s.campKind))
+	s.mux.HandleFunc("GET /v1/campaigns/{id}", s.handleStatus(&s.campKind))
+	s.mux.HandleFunc("GET /v1/campaigns/{id}/stream", s.handleStream(&s.campKind))
 	s.mux.HandleFunc("GET /v1/models", s.handleModels)
 	s.mux.HandleFunc("GET /v1/adversaries", s.handleAdversaries)
 	s.mux.HandleFunc("GET /v1/events", s.handleEvents)
@@ -329,23 +307,16 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 
 	// Interrupted work re-runs last, once the journal is armed: the
-	// previous process admitted it (its job.admit is already durable
-	// history), so it re-enters the gate unconditionally rather than
-	// through reserve, and its start/resume/done events continue the
-	// replayed chain.
-	for _, j := range rerunJobs {
-		j.tb = s.tenantFor(j.tenant)
-		s.queued.Add(j.totalInstances())
-		j.tb.queued.Add(j.totalInstances())
+	// previous process admitted it (its job.admit or campaign.start is
+	// already durable history), so it re-enters the gate unconditionally
+	// rather than through reserve, and its start/resume/done events
+	// continue the replayed chain.
+	for _, u := range rerun {
+		u.tb = s.tenantFor(u.tenant)
+		s.queued.Add(u.instances)
+		u.tb.queued.Add(u.instances)
 		s.wg.Add(1)
-		go s.runJob(j)
-	}
-	for _, cr := range rerunCampaigns {
-		cr.tb = s.tenantFor(cr.tenant)
-		s.queued.Add(cr.camp.Instances)
-		cr.tb.queued.Add(cr.camp.Instances)
-		s.wg.Add(1)
-		go s.runCampaign(cr)
+		go s.run(u)
 	}
 	return s, nil
 }
@@ -504,201 +475,29 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// correlationFrom extracts and validates the X-Lean-Correlation header:
-// empty when absent, a 400-worthy error when malformed. The value
-// becomes the Parent of the admitted work's root journal events.
-func correlationFrom(r *http.Request) (string, error) {
-	v := strings.TrimSpace(r.Header.Get(CorrelationHeader))
-	if v == "" {
-		return "", nil
-	}
-	if len(v) > maxCorrelationLen {
-		return "", fmt.Errorf("server: %s longer than %d bytes", CorrelationHeader, maxCorrelationLen)
+// headerValue extracts and validates an optional identity header, the
+// correlation or the tenant: empty when absent, a 400-worthy error when
+// longer than max bytes or holding control characters.
+func headerValue(r *http.Request, name string, max int) (string, error) {
+	v := strings.TrimSpace(r.Header.Get(name))
+	if len(v) > max {
+		return "", fmt.Errorf("server: %s longer than %d bytes", name, max)
 	}
 	for _, c := range v {
 		if c < 0x20 || c == 0x7f {
-			return "", fmt.Errorf("server: %s contains control characters", CorrelationHeader)
+			return "", fmt.Errorf("server: %s contains control characters", name)
 		}
 	}
 	return v, nil
-}
-
-// handleSubmit admits one batch of job specs.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	corr, err := correlationFrom(r)
-	if err != nil {
-		s.mRejected.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ten, err := tenantFrom(r)
-	if err != nil {
-		s.mRejected.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// The body is buffered before decoding: with durable state armed it
-	// becomes the record's stored submit, re-decoded through this same
-	// path if a crash forces a re-run.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		s.mRejected.Inc()
-		writeError(w, http.StatusBadRequest, "server: bad request body: %v", err)
-		return
-	}
-	batch, err := DecodeSubmit(bytes.NewReader(body), s.cfg.MaxBatch)
-	if err != nil {
-		s.mRejected.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	var total int64
-	for _, jb := range batch.Jobs {
-		total += int64(jb.Instances)
-	}
-	tb, cur, ok := s.reserve(ten, total)
-	if !ok {
-		s.mRejected.Inc()
-		s.journal.Append(obslog.KindJobShed, "", corr,
-			obslog.Labels{Count: total, Tenant: ten, Detail: "job"})
-		w.Header().Set("Retry-After", strconv.FormatInt(s.retryAfter(cur), 10))
-		writeError(w, http.StatusTooManyRequests,
-			"server: %d instances queued (high-water %d); retry later", cur, s.cfg.HighWater)
-		return
-	}
-	var rec []byte
-	var created time.Time
-	if s.state != nil {
-		// Encoded before the table lock: under it, admission only mints
-		// the ID and appends the frame.
-		created = time.Now()
-		if rec, err = encodeRecord(&stateRecord{Status: recAdmitted, Created: created, Corr: corr, Tenant: ten, Submit: body}); err != nil {
-			s.release(tb, total)
-			s.mRejected.Inc()
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.release(tb, total)
-		s.mRejected.Inc()
-		writeError(w, http.StatusServiceUnavailable, "server: draining, not accepting jobs")
-		return
-	}
-	s.seq++
-	j := newJob(fmt.Sprintf("j-%06d", s.seq), batch, s.cfg.Shards, corr)
-	j.tenant, j.tb = ten, tb
-	if s.state != nil {
-		j.created, j.submit = created, body
-		if j.logged, err = s.state.append(j.id, rec, false); err != nil {
-			s.seq--
-			s.mu.Unlock()
-			s.release(tb, total)
-			s.mRejected.Inc()
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.evictLocked()
-	s.wg.Add(1)
-	s.mu.Unlock()
-
-	if s.state != nil {
-		// The durable ID contract: a 202'd ID resolves after any restart,
-		// so the admission is acknowledged only once its frame commits. A
-		// frame that cannot commit is an admission that never happened;
-		// its ID stays unused.
-		if err := s.state.wait(j.logged); err != nil {
-			s.mu.Lock()
-			delete(s.jobs, j.id)
-			s.order = removeID(s.order, j.id)
-			s.mu.Unlock()
-			s.wg.Done()
-			s.release(tb, total)
-			s.mRejected.Inc()
-			writeError(w, stateError(err), "%v", err)
-			return
-		}
-	}
-
-	s.mAccepted.Inc()
-	// A single-spec batch (the common case) gets its workload axes on the
-	// admit event; multi-spec batches carry them per spec via metrics.
-	admit := obslog.Labels{Count: total, Tenant: ten}
-	if len(batch.Jobs) == 1 {
-		jb := batch.Jobs[0]
-		admit.Model, admit.Dist, admit.Adversary, admit.N = jb.ModelName, jb.DistName, jb.AdvName, jb.N
-	}
-	s.journal.Append(obslog.KindJobAdmit, j.id, corr, admit)
-	go s.runJob(j)
-
-	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, submitResponse{
-		ID:              j.id,
-		Status:          j.statusName(),
-		Location:        "/v1/jobs/" + j.id,
-		QueuedInstances: s.queued.Load(),
-	})
-}
-
-// evictLocked trims the job table to MaxJobsKept via the shared
-// finished-first eviction helper; an evicted job's durable record is
-// forgotten with it, by an evict frame that rides the next commit.
-// Unfinished jobs are never evicted.
-func (s *Server) evictLocked() {
-	s.order = evictFinished(s.jobs, s.order, s.cfg.MaxJobsKept, &s.evictSkip, func(id string) {
-		if s.state != nil {
-			s.state.append(id, evictBody, true) //nolint:errcheck // a broken log persists nothing
-		}
-	})
-}
-
-// removeID deletes a rolled-back admission's ID from a creation-order
-// slice.
-func removeID(order []string, id string) []string {
-	for i := len(order) - 1; i >= 0; i-- {
-		if order[i] == id {
-			return append(order[:i], order[i+1:]...)
-		}
-	}
-	return order
-}
-
-// lookup returns the job or writes a 404.
-func (s *Server) lookup(w http.ResponseWriter, id string) *job {
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j == nil {
-		writeError(w, http.StatusNotFound, "server: unknown job %q", id)
-	}
-	return j
-}
-
-// handleJob reports one job's status and, when finished, its results.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r.PathValue("id"))
-	if j == nil {
-		return
-	}
-	writeJSON(w, http.StatusOK, j.snapshot())
 }
 
 // handleJobTrace serves a traced job's flight-recorder captures. It
 // answers at any lifecycle stage — capture blocks appear as specs
 // finish — so clients can poll it alongside the status endpoint.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r.PathValue("id"))
-	if j == nil {
-		return
+	if u := s.lookup(&s.jobKind, w, r); u != nil {
+		writeJSON(w, http.StatusOK, u.work.(*job).traceSnapshot())
 	}
-	writeJSON(w, http.StatusOK, j.traceSnapshot())
 }
 
 // handleModels lists the three registries the wire spec resolves
@@ -741,27 +540,23 @@ func (s *Server) handleAdversaries(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz reports liveness: 200 while serving, 503 once draining.
-// The jobs field counts live (queued or running) jobs, not the finished
-// history the table retains for polling.
+// The jobs and campaigns fields count live (queued or running) units,
+// not the finished history the table retains for polling.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	closed := s.closed
-	live, depth := 0, 0
-	for _, j := range s.jobs {
-		if !j.finished() {
-			live++
-			if jobState(j.state.Load()) == stateQueued {
-				depth++
-			}
+	live, liveCampaigns, depth := 0, 0, 0
+	for _, u := range s.order {
+		if u.finished() {
+			continue
 		}
-	}
-	liveCampaigns := 0
-	for _, cr := range s.campaigns {
-		if !cr.finished() {
+		if u.kind == &s.jobKind {
+			live++
+		} else {
 			liveCampaigns++
-			if jobState(cr.state.Load()) == stateQueued {
-				depth++
-			}
+		}
+		if jobState(u.state.Load()) == stateQueued {
+			depth++
 		}
 	}
 	s.mu.Unlock()

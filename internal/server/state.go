@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -514,79 +513,45 @@ func stateError(err error) int {
 }
 
 // armState opens the state log and restores the previous process's
-// tables. Terminal records become servable history again; records
-// still "admitted" are interrupted work, returned to the caller for
-// re-running once the journal is armed.
+// table. Terminal records become servable history again; records still
+// "admitted" are interrupted work, returned to the caller for re-running
+// once the journal is armed.
 //
 // Runs inside New before the server serves anything, so the table
 // mutations need no locks.
-func (s *Server) armState() (rerunJobs []*job, rerunCampaigns []*campaignRun, torn int64, err error) {
+func (s *Server) armState() (rerun []*unit, torn int64, err error) {
 	st, fold, err := openStateLog(s.cfg.StateDir, s.reg)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	st.snapshot = s.snapshotState
 	s.state = st
+	s.jobKind.seq, s.campKind.seq = fold.jobSeq, fold.campSeq
 
 	for _, id := range fold.order {
 		rec := fold.recs[id]
+		k := &s.jobKind
 		if isCampaignID(id) {
-			cr := &campaignRun{id: id, created: rec.Created, corr: rec.Corr, tenant: rec.Tenant, done: make(chan struct{})}
-			switch rec.Status {
-			case recDone, recFailed:
-				if rec.Campaign == nil {
-					return nil, nil, 0, fmt.Errorf("server: state record %s has no final snapshot", id)
-				}
-				cr.restored = rec.Campaign
-				cr.state.Store(int32(terminalState(rec.Status)))
-				close(cr.done)
-			default:
-				if rec.Spec == nil {
-					return nil, nil, 0, fmt.Errorf("server: state record %s has no spec", id)
-				}
-				camp, rerr := rec.Spec.Resolve()
-				if rerr != nil {
-					return nil, nil, 0, fmt.Errorf("server: state record %s: %v", id, rerr)
-				}
-				cr.camp = camp
-				rerunCampaigns = append(rerunCampaigns, cr)
-			}
-			s.campaigns[id] = cr
-			s.corder = append(s.corder, id)
-			continue
+			k = &s.campKind
 		}
-		var j *job
-		switch rec.Status {
-		case recDone, recFailed:
-			if rec.Job == nil {
-				return nil, nil, 0, fmt.Errorf("server: state record %s has no final snapshot", id)
-			}
-			j = &job{id: id, restored: rec.Job, done: make(chan struct{})}
-			j.state.Store(int32(terminalState(rec.Status)))
-			close(j.done)
-		default:
-			// The stored submit re-decodes through the admission path's
-			// own decoder; results are a pure function of the spec, so the
-			// re-run serves what the interrupted run would have.
-			batch, derr := DecodeSubmit(bytes.NewReader(rec.Submit), 0)
-			if derr != nil {
-				return nil, nil, 0, fmt.Errorf("server: state record %s: %v", id, derr)
-			}
-			j = newJob(id, batch, s.cfg.Shards, rec.Corr)
-			j.submit = rec.Submit
-			rerunJobs = append(rerunJobs, j)
+		wk, err := k.restore(s, rec)
+		if err != nil {
+			return nil, 0, err
 		}
-		j.created, j.corr, j.tenant = rec.Created, rec.Corr, rec.Tenant
-		s.jobs[id] = j
-		s.order = append(s.order, id)
+		u := wk.base()
+		u.id, u.kind, u.work, u.done = id, k, wk, make(chan struct{})
+		u.created, u.corr, u.tenant = rec.Created, rec.Corr, rec.Tenant
+		if rec.Status == recAdmitted {
+			rerun = append(rerun, u)
+		} else {
+			u.state.Store(int32(terminalState(rec.Status)))
+			close(u.done)
+		}
+		// A history larger than MaxJobsKept still respects the table
+		// bound; eviction appends the trimmed entries' evict frames too.
+		s.insertLocked(u)
 	}
-
-	s.seq, s.cseq = fold.jobSeq, fold.campSeq
-	// A history larger than MaxJobsKept still respects the table bound;
-	// eviction appends the trimmed entries' evict frames too.
-	s.evictLocked()
-	s.evictCampaignsLocked()
-	return rerunJobs, rerunCampaigns, fold.torn, nil
+	return rerun, fold.torn, nil
 }
 
 // terminalState maps a terminal record status to the lifecycle state.
@@ -605,17 +570,11 @@ func terminalState(status string) jobState {
 // encoded outside it, one at a time.
 func (s *Server) snapshotState(emit func(id string, body []byte) error) error {
 	s.mu.Lock()
-	counters := stateRecord{Status: recCounters, JobSeq: s.seq, CampaignSeq: s.cseq}
-	jobs := make([]*job, 0, len(s.order))
-	for _, id := range s.order {
-		if j := s.jobs[id]; s.state.committed(j.logged) {
-			jobs = append(jobs, j)
-		}
-	}
-	camps := make([]*campaignRun, 0, len(s.corder))
-	for _, id := range s.corder {
-		if cr := s.campaigns[id]; s.state.committed(cr.logged) {
-			camps = append(camps, cr)
+	counters := stateRecord{Status: recCounters, JobSeq: s.jobKind.seq, CampaignSeq: s.campKind.seq}
+	units := make([]*unit, 0, len(s.order))
+	for _, u := range s.order {
+		if s.state.committed(u.logged) {
+			units = append(units, u)
 		}
 	}
 	s.mu.Unlock()
@@ -624,53 +583,15 @@ func (s *Server) snapshotState(emit func(id string, body []byte) error) error {
 	if err == nil {
 		err = emit("", body)
 	}
-	for _, j := range jobs {
+	for _, u := range units {
 		if err != nil {
 			return err
 		}
-		if body, err = encodeRecord(j.record()); err == nil {
-			err = emit(j.id, body)
-		}
-	}
-	for _, cr := range camps {
-		if err != nil {
-			return err
-		}
-		if body, err = encodeRecord(cr.record()); err == nil {
-			err = emit(cr.id, body)
+		if body, err = encodeRecord(u.record()); err == nil {
+			err = emit(u.id, body)
 		}
 	}
 	return err
-}
-
-// record is the job's current state-log record, ID aside.
-func (j *job) record() *stateRecord {
-	rec := &stateRecord{Status: recAdmitted, Created: j.created, Corr: j.corr, Tenant: j.tenant}
-	if !j.finished() {
-		rec.Submit = j.submit
-		return rec
-	}
-	final := j.snapshot()
-	rec.Status, rec.Job = recDone, &final
-	if jobState(j.state.Load()) == stateFailed {
-		rec.Status = recFailed
-	}
-	return rec
-}
-
-// record is the campaign's current state-log record, ID aside.
-func (cr *campaignRun) record() *stateRecord {
-	rec := &stateRecord{Status: recAdmitted, Created: cr.created, Corr: cr.corr, Tenant: cr.tenant}
-	if !cr.finished() {
-		rec.Spec = &cr.camp.Spec
-		return rec
-	}
-	final := cr.snapshot()
-	rec.Status, rec.Campaign = recDone, &final
-	if jobState(cr.state.Load()) == stateFailed {
-		rec.Status = recFailed
-	}
-	return rec
 }
 
 // isCampaignID reports whether id names a campaign (c-%06d) rather

@@ -43,37 +43,32 @@ func TestTerminalSaveSkipsEvictedEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Server{
-		state:     st,
-		jobs:      map[string]*job{},
-		campaigns: map[string]*campaignRun{},
-	}
+	s := &Server{state: st, units: map[string]*unit{}}
+	s.campKind.checkpoints = true
 	st.snapshot = s.snapshotState
 	t.Cleanup(func() { st.close() })
 
-	j := &job{id: "j-000001", created: time.Now(), done: make(chan struct{})}
-	j.state.Store(int32(stateDone))
-	// Evicted (not in the table): the save must be a no-op.
-	s.saveJobTerminal(j)
-	if got, ok := foldStatus(t, dir)[j.id]; ok {
-		t.Fatalf("terminal save logged an evicted job (folded status %q)", got)
-	}
-	// Live: the save lands.
-	s.jobs[j.id] = j
-	s.saveJobTerminal(j)
-	if got := foldStatus(t, dir)[j.id]; got != recDone {
-		t.Fatalf("terminal save of a live job folded to %q, want %q", got, recDone)
-	}
-
-	cr := &campaignRun{id: "c-000001", created: time.Now(), camp: &campaign.Campaign{}, done: make(chan struct{})}
-	cr.state.Store(int32(stateDone))
-	s.saveCampaignTerminal(cr)
-	if got, ok := foldStatus(t, dir)[cr.id]; ok {
-		t.Fatalf("terminal save logged an evicted campaign (folded status %q)", got)
-	}
-	s.campaigns[cr.id] = cr
-	s.saveCampaignTerminal(cr)
-	if got := foldStatus(t, dir)[cr.id]; got != recDone {
-		t.Fatalf("terminal save of a live campaign folded to %q, want %q", got, recDone)
+	for _, tc := range []struct {
+		id string
+		k  *kind
+		wk work
+	}{
+		{"j-000001", &s.jobKind, &job{}},
+		{"c-000001", &s.campKind, &campaignRun{camp: &campaign.Campaign{}}},
+	} {
+		u := tc.wk.base()
+		u.id, u.kind, u.work, u.created, u.done = tc.id, tc.k, tc.wk, time.Now(), make(chan struct{})
+		u.state.Store(int32(stateDone))
+		// Evicted (not in the table): the save must be a no-op.
+		s.saveTerminal(u)
+		if got, ok := foldStatus(t, dir)[u.id]; ok {
+			t.Fatalf("terminal save logged evicted %s (folded status %q)", u.id, got)
+		}
+		// Live: the save lands.
+		s.units[u.id] = u
+		s.saveTerminal(u)
+		if got := foldStatus(t, dir)[u.id]; got != recDone {
+			t.Fatalf("terminal save of live %s folded to %q, want %q", u.id, got, recDone)
+		}
 	}
 }
