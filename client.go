@@ -3,6 +3,7 @@ package leanconsensus
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -325,29 +326,34 @@ func (c *Client) SubmitJobs(ctx context.Context, specs ...JobSpec) (string, erro
 // must be within the service's budget cap (64); 0 degrades to an
 // untraced SubmitJobs.
 func (c *Client) SubmitJobsTraced(ctx context.Context, traceK int, specs ...JobSpec) (string, error) {
-	body, err := json.Marshal(struct {
+	var corr, tenant string
+	for _, spec := range specs {
+		corr = cmp.Or(corr, spec.Correlation)
+		tenant = cmp.Or(tenant, spec.Tenant)
+	}
+	return c.submit(ctx, jobUnit.route, struct {
 		Jobs  []JobSpec `json:"jobs"`
 		Trace int       `json:"trace,omitempty"`
-	}{Jobs: specs, Trace: traceK})
+	}{Jobs: specs, Trace: traceK}, corr, tenant)
+}
+
+// submit POSTs one unit's body to route, with the correlation and
+// tenant headers when set, and returns the admitted unit's ID.
+func (c *Client) submit(ctx context.Context, route string, body any, corr, tenant string) (string, error) {
+	b, err := json.Marshal(body)
 	if err != nil {
 		return "", err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/jobs", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+route, bytes.NewReader(b))
 	if err != nil {
 		return "", err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	for _, spec := range specs {
-		if spec.Correlation != "" {
-			req.Header.Set(CorrelationHeader, spec.Correlation)
-			break
-		}
+	if corr != "" {
+		req.Header.Set(CorrelationHeader, corr)
 	}
-	for _, spec := range specs {
-		if spec.Tenant != "" {
-			req.Header.Set(TenantHeader, spec.Tenant)
-			break
-		}
+	if tenant != "" {
+		req.Header.Set(TenantHeader, tenant)
 	}
 	var out struct {
 		ID string `json:"id"`
@@ -366,23 +372,58 @@ func (c *Client) JobTrace(ctx context.Context, id string) (*JobTraces, error) {
 
 // Job fetches one job's status.
 func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
-	return get[JobStatus](ctx, c, "/v1/jobs/"+url.PathEscape(id))
+	return get[JobStatus](ctx, c, jobUnit.route+"/"+url.PathEscape(id))
 }
 
 // WaitJob polls until the job finishes or ctx expires. A failed job
 // returns its final status together with a non-nil error.
 func (c *Client) WaitJob(ctx context.Context, id string) (*JobStatus, error) {
+	return jobUnit.wait(ctx, c, id)
+}
+
+// unitStatus is a unit kind's wire status, which knows itself when it
+// is terminal (JobStatus.Finished, CampaignStatus.Finished).
+type unitStatus[T any] interface {
+	*T
+	Finished() bool
+}
+
+// unitKind is one kind of unit, a job or a campaign, as the client's
+// one wait loop and one stream loop see it: its noun, its route, and
+// where its status keeps the ID, the lifecycle state and the error.
+type unitKind[T any, P unitStatus[T]] struct {
+	noun, route string
+	fields      func(*T) (id, status, msg string)
+}
+
+var (
+	jobUnit = unitKind[JobStatus, *JobStatus]{"job", "/v1/jobs",
+		func(st *JobStatus) (string, string, string) { return st.ID, st.Status, st.Error }}
+	campaignUnit = unitKind[CampaignStatus, *CampaignStatus]{"campaign", "/v1/campaigns",
+		func(st *CampaignStatus) (string, string, string) { return st.ID, st.Status, st.Error }}
+)
+
+// failure maps a failed terminal status to an error.
+func (k unitKind[T, P]) failure(st *T) error {
+	if id, status, msg := k.fields(st); status == JobFailed {
+		return fmt.Errorf("leanserve: %s %s failed: %s", k.noun, id, msg)
+	}
+	return nil
+}
+
+// wait polls the unit's status until it finishes or ctx expires.
+func (k unitKind[T, P]) wait(ctx context.Context, c *Client, id string) (*T, error) {
 	interval := c.PollInterval
 	if interval <= 0 {
 		interval = 25 * time.Millisecond
 	}
 	for {
-		st, err := c.Job(ctx, id)
+		st, err := get[T](ctx, c, k.route+"/"+url.PathEscape(id))
 		if err != nil {
 			return nil, err
 		}
-		if st.Finished() {
-			return st, jobError(st)
+		if P(st).Finished() {
+			return st, k.failure(st)
 		}
 		select {
 		case <-ctx.Done():
@@ -392,18 +433,34 @@ func (c *Client) WaitJob(ctx context.Context, id string) (*JobStatus, error) {
 	}
 }
 
-// jobError maps a failed terminal status to an error.
-func jobError(st *JobStatus) error {
-	if st.Status == JobFailed {
-		return fmt.Errorf("leanserve: job %s failed: %s", st.ID, st.Error)
+// stream subscribes to the unit's SSE progress stream, calling fn (when
+// non-nil) for every progress snapshot, and returns the final status
+// carried by the terminal "done" event.
+func (k unitKind[T, P]) stream(ctx context.Context, c *Client, id string, fn func(T)) (*T, error) {
+	var final *T
+	err := c.streamEvents(ctx, k.route+"/"+url.PathEscape(id)+"/stream", func(event string, data []byte) (bool, error) {
+		var st T
+		if err := json.Unmarshal(data, &st); err != nil {
+			return false, fmt.Errorf("leanserve: bad stream payload: %v", err)
+		}
+		if event == "done" {
+			final = &st
+			return true, nil
+		}
+		if fn != nil {
+			fn(st)
+		}
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return final, k.failure(final)
 }
 
 // streamEvents subscribes to an SSE endpoint and calls each for every
 // event payload; each returning true ends the stream as successfully
-// terminal. Both StreamJob and StreamCampaign are this loop with a
-// different payload type.
+// terminal.
 func (c *Client) streamEvents(ctx context.Context, path string, each func(event string, data []byte) (bool, error)) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
@@ -461,25 +518,7 @@ func (c *Client) streamEvents(ctx context.Context, path string, each func(event 
 // never finishes on this stream: it ends without "done", and StreamJob
 // returns an error and no status.
 func (c *Client) StreamJob(ctx context.Context, id string, fn func(JobStatus)) (*JobStatus, error) {
-	var final *JobStatus
-	err := c.streamEvents(ctx, "/v1/jobs/"+url.PathEscape(id)+"/stream", func(event string, data []byte) (bool, error) {
-		var st JobStatus
-		if err := json.Unmarshal(data, &st); err != nil {
-			return false, fmt.Errorf("leanserve: bad stream payload: %v", err)
-		}
-		if event == "done" {
-			final = &st
-			return true, nil
-		}
-		if fn != nil {
-			fn(st)
-		}
-		return false, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return final, jobError(final)
+	return jobUnit.stream(ctx, c, id, fn)
 }
 
 // SubmitCampaign submits one campaign spec and returns the campaign ID.
@@ -487,65 +526,19 @@ func (c *Client) StreamJob(ctx context.Context, id string, fn func(JobStatus)) (
 // *OverloadedError carries the service's Retry-After hint, and an
 // oversized grid comes back as a 400 *APIError before anything runs.
 func (c *Client) SubmitCampaign(ctx context.Context, spec CampaignSpec) (string, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return "", err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/campaigns", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if spec.Correlation != "" {
-		req.Header.Set(CorrelationHeader, spec.Correlation)
-	}
-	if spec.Tenant != "" {
-		req.Header.Set(TenantHeader, spec.Tenant)
-	}
-	var out struct {
-		ID string `json:"id"`
-	}
-	if err := c.do(req, &out); err != nil {
-		return "", err
-	}
-	return out.ID, nil
+	return c.submit(ctx, campaignUnit.route, spec, spec.Correlation, spec.Tenant)
 }
 
 // Campaign fetches one campaign's status (and, once finished, report).
 func (c *Client) Campaign(ctx context.Context, id string) (*CampaignStatus, error) {
-	return get[CampaignStatus](ctx, c, "/v1/campaigns/"+url.PathEscape(id))
+	return get[CampaignStatus](ctx, c, campaignUnit.route+"/"+url.PathEscape(id))
 }
 
 // WaitCampaign polls until the campaign finishes or ctx expires. A
 // failed campaign returns its final status together with a non-nil
 // error.
 func (c *Client) WaitCampaign(ctx context.Context, id string) (*CampaignStatus, error) {
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 25 * time.Millisecond
-	}
-	for {
-		st, err := c.Campaign(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if st.Finished() {
-			return st, campaignError(st)
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(interval):
-		}
-	}
-}
-
-// campaignError maps a failed terminal status to an error.
-func campaignError(st *CampaignStatus) error {
-	if st.Status == JobFailed {
-		return fmt.Errorf("leanserve: campaign %s failed: %s", st.ID, st.Error)
-	}
-	return nil
+	return campaignUnit.wait(ctx, c, id)
 }
 
 // StreamCampaign subscribes to the campaign's SSE progress stream,
@@ -555,25 +548,7 @@ func campaignError(st *CampaignStatus) error {
 // shutdown resumes there, not on this stream: it ends without "done",
 // and StreamCampaign returns an error and no status.
 func (c *Client) StreamCampaign(ctx context.Context, id string, fn func(CampaignStatus)) (*CampaignStatus, error) {
-	var final *CampaignStatus
-	err := c.streamEvents(ctx, "/v1/campaigns/"+url.PathEscape(id)+"/stream", func(event string, data []byte) (bool, error) {
-		var st CampaignStatus
-		if err := json.Unmarshal(data, &st); err != nil {
-			return false, fmt.Errorf("leanserve: bad stream payload: %v", err)
-		}
-		if event == "done" {
-			final = &st
-			return true, nil
-		}
-		if fn != nil {
-			fn(st)
-		}
-		return false, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return final, campaignError(final)
+	return campaignUnit.stream(ctx, c, id, fn)
 }
 
 // Models fetches the service's registry catalog.

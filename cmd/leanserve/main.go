@@ -108,8 +108,8 @@ const shutdownTimeout = 30 * time.Second
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("leanserve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
-	shards := fs.Int("shards", 0, "arena shards per job (default 8)")
-	workers := fs.Int("workers", 0, "arena workers per shard (default 2)")
+	shards := fs.Int("shards", 0, "shards of the server's one arena (default 8)")
+	workers := fs.Int("workers", 0, "workers per shard for each executing job or campaign; the arena has workers × maxjobs per shard (default 2)")
 	highwater := fs.Int64("highwater", 0, "queued-instance high-water mark for 429 shedding (default 262144)")
 	maxbatch := fs.Int("maxbatch", 0, "maximum job specs per POST (default 64)")
 	maxjobs := fs.Int("maxjobs", 0, "maximum concurrently executing jobs (default GOMAXPROCS/2)")

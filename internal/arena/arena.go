@@ -19,8 +19,8 @@
 // key's stable 64-bit hash, so the pool shape (Shards, Workers) decides
 // only where and when an instance runs, never what it decides: whole-arena
 // runs replay exactly under a fixed seed on any pool shape — including
-// under `go test -race`. Cells (SubmitCell) carry their own seeds and do
-// not read the arena seed at all.
+// under `go test -race`. Cells (RunCells) carry their own seeds, metrics
+// bundle and capture budget, and read none of the arena's.
 package arena
 
 import (
@@ -28,11 +28,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"leanconsensus/internal/dist"
 	"leanconsensus/internal/engine"
-	"leanconsensus/internal/obslog"
 	"leanconsensus/internal/trace"
 	"leanconsensus/internal/xrand"
 )
@@ -79,25 +79,18 @@ type Config struct {
 	// QueueDepth is the per-shard request buffer (default
 	// DefaultQueueDepth).
 	QueueDepth int
-	// Metrics, when non-nil, receives live telemetry: every decision,
+	// Metrics, when non-nil, receives live telemetry of the derived
+	// (Submit/Propose) instances, cells having their own: every decision,
 	// round count, operation count, and per-instance latency is recorded
 	// on per-worker stripes (see NewMetrics). All bundle fields must be
 	// set.
 	Metrics *Metrics
-	// Trace, when non-nil, arms the flight recorder: each worker session
-	// records every instance's step events and each shard keeps its
-	// PerShard most interesting captures (see TraceConfig). Read them
-	// with Traces. Nil tracing costs nothing on the serving path.
+	// Trace, when non-nil, arms the flight recorder for the derived
+	// instances, cells having their own: each worker session records
+	// every instance's step events and each shard keeps its PerShard most
+	// interesting captures (see TraceConfig). Read them with Traces. Nil
+	// tracing costs nothing on the serving path.
 	Trace *TraceConfig
-	// Journal, when non-nil, receives the arena's lifecycle events —
-	// currently one arena.drain on Close, chained to Owner. The journal
-	// is deliberately kept off the serving path: per-instance telemetry
-	// belongs to Metrics stripes, and journaling a coarse drain event
-	// costs nothing per request.
-	Journal *obslog.Journal
-	// Owner is the correlation ID the arena's journal events chain to
-	// (the job or campaign the arena serves; "" for a standalone arena).
-	Owner string
 }
 
 // Result reports one served consensus instance.
@@ -124,7 +117,7 @@ type Result struct {
 // request is one queued unit of work: either one derived proposal (the
 // Propose/Submit path: the instance's seed and inputs come from the arena
 // seed and the key) or, when cell is non-nil, a whole cell (the
-// SubmitCell path), delivered on cellDone instead of done.
+// RunCells path), delivered on cellDone instead of done.
 type request struct {
 	key   string
 	shard int
@@ -136,9 +129,9 @@ type request struct {
 	cellDone chan CellResult
 }
 
-// ShardStats accumulates one shard's deterministic counters. All fields
-// are pure functions of the served (key, bit) multiset, so they replay
-// exactly; wall-clock latency lives in Stats instead.
+// ShardStats accumulates one shard's (or one cell's) deterministic
+// counters. All fields are pure functions of the served instances, so
+// they replay exactly; wall-clock latency lives in Stats instead.
 type ShardStats struct {
 	// Proposals counts requests served (including failed ones).
 	Proposals int64
@@ -169,8 +162,8 @@ func (s *ShardStats) add(r Result) {
 	}
 }
 
-// merge folds another shard's counters into s.
-func (s *ShardStats) merge(o ShardStats) {
+// Merge folds another shard's or cell's counters into s.
+func (s *ShardStats) Merge(o ShardStats) {
 	s.Proposals += o.Proposals
 	s.Decided[0] += o.Decided[0]
 	s.Decided[1] += o.Decided[1]
@@ -182,12 +175,11 @@ func (s *ShardStats) merge(o ShardStats) {
 	}
 }
 
-// Stats is an aggregate snapshot of a running arena.
+// Stats is an aggregate snapshot of a running arena's derived
+// (Submit/Propose) instances; cells report theirs on CellResult.Stats.
 type Stats struct {
 	// Totals aggregates every shard.
 	Totals ShardStats
-	// PerShard holds one entry per shard.
-	PerShard []ShardStats
 	// Elapsed is the wall-clock time since New.
 	Elapsed time.Duration
 }
@@ -235,6 +227,8 @@ type Arena struct {
 	// per-shard mutex — the traced-throughput gap). Traces() merges them
 	// per shard into exactly the set the shard-global ranking would keep.
 	keepers []*traceKeeper
+
+	next atomic.Uint64 // the shard RunCells places its next cell on, mod Shards
 
 	mu     sync.RWMutex // guards closed and the shard queues' liveness
 	closed bool
@@ -288,8 +282,7 @@ func New(cfg Config) (*Arena, error) {
 		for w := 0; w < cfg.Workers; w++ {
 			idx := i*cfg.Workers + w
 			if cfg.Trace != nil {
-				perShard, _ := cfg.Trace.withDefaults()
-				a.keepers[idx] = &traceKeeper{k: perShard}
+				a.keepers[idx] = &traceKeeper{k: cfg.Trace.budget()}
 			}
 			a.wg.Add(1)
 			go a.worker(s, idx)
@@ -340,11 +333,15 @@ func (a *Arena) enqueue(req *request) error {
 	if a.closed {
 		return ErrClosed
 	}
-	if a.cfg.Metrics != nil {
-		// Balanced by the serving worker's decrement; stripes may go
-		// individually negative, only the cross-stripe sum is meaningful.
-		// A cell counts as one queued request, whatever its Reps.
-		a.cfg.Metrics.Queued.Stripe(req.shard).Add(1)
+	m := a.cfg.Metrics
+	if req.cell != nil {
+		m = req.cell.Metrics
+	}
+	if m != nil {
+		// Balanced by the serving worker's decrement on the same bundle;
+		// stripes may go individually negative, only the cross-stripe sum
+		// is meaningful. A cell counts as one queued request.
+		m.Queued.Stripe(req.shard).Add(1)
 	}
 	a.shards[req.shard].reqs <- req
 	return nil
@@ -380,15 +377,11 @@ func (a *Arena) Propose(ctx context.Context, key string, bit int) (Result, error
 
 // Stats snapshots the aggregate counters.
 func (a *Arena) Stats() Stats {
-	st := Stats{
-		PerShard: make([]ShardStats, len(a.shards)),
-		Elapsed:  time.Since(a.start),
-	}
-	for i, s := range a.shards {
+	st := Stats{Elapsed: time.Since(a.start)}
+	for _, s := range a.shards {
 		s.mu.Lock()
-		st.PerShard[i] = s.stats
+		st.Totals.Merge(s.stats)
 		s.mu.Unlock()
-		st.Totals.merge(st.PerShard[i])
 	}
 	return st
 }
@@ -398,8 +391,7 @@ func (a *Arena) Stats() Stats {
 // idempotent.
 func (a *Arena) Close() error {
 	a.mu.Lock()
-	first := !a.closed
-	if first {
+	if !a.closed {
 		a.closed = true
 		for _, s := range a.shards {
 			close(s.reqs)
@@ -409,12 +401,6 @@ func (a *Arena) Close() error {
 	// Every caller waits for the drain, so a concurrent second Close
 	// also returns only once all in-flight instances have completed.
 	a.wg.Wait()
-	if first {
-		// Journaled once, after the drain: Count is the final proposal
-		// total, so the event doubles as the arena's closing line item.
-		a.cfg.Journal.Append(obslog.KindArenaDrain, "", a.cfg.Owner,
-			obslog.Labels{Count: a.Stats().Totals.Proposals})
-	}
 	return nil
 }
 
@@ -426,24 +412,33 @@ func (a *Arena) Close() error {
 func (a *Arena) worker(s *shard, idx int) {
 	defer a.wg.Done()
 	sess := engine.NewSession()
-	var wm *workerMetrics
-	if a.cfg.Metrics != nil {
-		wm = a.cfg.Metrics.stripes(idx)
-	}
+	wm := a.cfg.Metrics.stripes(idx)
 	var tk *traceKeeper
 	if a.cfg.Trace != nil {
-		// One pooled recorder per worker, reset per instance — the same
-		// lifecycle as the session's simulation buffers — and one private
-		// trace keeper, so capture never contends with sibling workers.
-		_, events := a.cfg.Trace.withDefaults()
-		sess.SetTrace(trace.NewRecorder(events))
-		tk = a.keepers[idx]
+		tk = a.keepers[idx] // private, so capture never contends with siblings
+	}
+	// One pooled recorder per worker, made on first use and reset per
+	// instance like the session's simulation buffers, armed only while
+	// serving a request that traces: a derived instance on a traced
+	// arena, or a cell carrying its own Trace.
+	var rec *trace.Recorder
+	arm := func(tc *TraceConfig) {
+		if tc == nil {
+			sess.SetTrace(nil)
+			return
+		}
+		if rec == nil {
+			rec = trace.NewRecorder(0)
+		}
+		sess.SetTrace(rec)
 	}
 	for req := range s.reqs {
 		if req.cell != nil {
-			req.cellDone <- a.serveCell(s, sess, req, wm, tk)
+			arm(req.cell.Trace)
+			req.cellDone <- a.serveCell(s, sess, req, idx)
 			continue
 		}
+		arm(a.cfg.Trace)
 		if rec := sess.Trace(); rec != nil {
 			rec.Reset()
 		}
@@ -456,6 +451,15 @@ func (a *Arena) worker(s *shard, idx int) {
 		}
 		req.done <- res
 	}
+}
+
+// newResult reports one instance's engine outcome.
+func newResult(key string, shard int, r engine.Result, err error) Result {
+	if err != nil {
+		return Result{Key: key, Shard: shard, Err: err}
+	}
+	return Result{Key: key, Shard: shard, Value: r.Value, FirstRound: r.FirstRound,
+		LastRound: r.LastRound, Ops: r.Ops, SimTime: r.SimTime}
 }
 
 // serve runs one derived instance. Its seed mixes the arena seed with
@@ -479,17 +483,8 @@ func (a *Arena) serve(s *shard, sess *engine.Session, req *request, tk *traceKee
 		Adversary: a.cfg.Adversary,
 		Seed:      seed,
 	}
-	res := Result{Key: req.key, Shard: s.id}
 	ir, err := model.Run(spec, sess)
-	if err != nil {
-		res.Err = err
-	} else {
-		res.Value = ir.Value
-		res.FirstRound = ir.FirstRound
-		res.LastRound = ir.LastRound
-		res.Ops = ir.Ops
-		res.SimTime = ir.SimTime
-	}
+	res := newResult(req.key, s.id, ir, err)
 	if rec := sess.Trace(); rec != nil {
 		tk.consider(model.Name(), spec, res, rec)
 	}

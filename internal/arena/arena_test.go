@@ -359,7 +359,7 @@ func TestRunCellMatchesHarness(t *testing.T) {
 		n := 2 + i%7
 		seed := uint64(1000 + i)
 		sink := &recordingSink{}
-		if _, err := a.RunCell(context.Background(), arena.CellRequest{
+		if _, err := runCell(a, arena.CellRequest{
 			Key: fmt.Sprintf("cell-%d", i), N: n, Noise: noise, Reps: 1,
 			Seed: func(int) uint64 { return seed }, Sink: sink,
 		}); err != nil {
@@ -438,7 +438,7 @@ func TestRunSpecsCancelMidBatchLeavesArenaDrainable(t *testing.T) {
 
 	// The arena must still serve fresh work after an aborted batch ...
 	sink := &recordingSink{}
-	res, err := a.RunCell(context.Background(), arena.CellRequest{
+	res, err := runCell(a, arena.CellRequest{
 		Key: "after-cancel", N: 4, Noise: noise, Reps: 1,
 		Seed: func(int) uint64 { return 9 }, Sink: sink,
 	})

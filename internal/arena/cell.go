@@ -1,5 +1,6 @@
-// Cell-batched execution: the arena's bulk path. Where Submit routes one
-// *instance* per queue entry, SubmitCell routes one *cell* — a whole
+// Cell-batched execution: the arena's bulk path, and the only way a
+// caller with its own seeds puts work on an arena. Where Submit routes
+// one *instance* per queue entry, RunCells routes one *cell* — a whole
 // batch of repetitions of the same (model, inputs, noise, adversary, N)
 // template, differing only in seed — to a single worker, which runs the
 // entire batch as one tight loop over its pooled engine.Session
@@ -8,17 +9,17 @@
 // hop, result-channel hop, or key formatting: steady-state repetitions
 // allocate nothing and cost one model run each.
 //
-// A cell's outcomes are a pure function of the CellRequest (the arena
-// seed plays no part on this path), repetitions fold into the sink in
-// repetition order, and which shard or worker serves the cell affects
-// only wall-clock timing — and, on a traced arena, which shard's capture
-// budget ranks its repetitions. On a traced arena the cell loop resets
-// the worker's recorder before each repetition and offers the repetition
-// to the worker's trace keeper under the key "<Key>,rep=<rep>" with seed
-// Seed(rep); untraced cells pay one nil check per repetition. With
-// Config.Metrics set, the latency histogram observes every repetition,
-// from the cell's enqueue to that repetition's end, while the counters
-// advance once per cell.
+// A cell is self-contained, so any number of callers can share one
+// arena without seeing each other's work: its outcomes are a pure
+// function of the CellRequest (the arena seed plays no part), its
+// counters come back on CellResult.Stats, its telemetry goes to its own
+// Metrics bundle and its captures to CellResult.Traces. Which shard or
+// worker serves a cell affects only wall-clock timing. A traced cell
+// resets the worker's recorder before each repetition and offers it to
+// a cell-private keeper as "<Key>,rep=<rep>" with seed Seed(rep);
+// untraced cells pay one nil check per repetition. The latency histogram
+// observes every repetition, from the cell's enqueue to that
+// repetition's end, while the counters advance once per cell.
 package arena
 
 import (
@@ -28,6 +29,7 @@ import (
 
 	"leanconsensus/internal/dist"
 	"leanconsensus/internal/engine"
+	"leanconsensus/internal/trace"
 )
 
 // CellSink receives one repetition's result during cell execution. Add is
@@ -45,9 +47,8 @@ type CellRequest struct {
 	// Model executes the repetitions; nil selects the arena's configured
 	// model.
 	Model engine.Model
-	// Key identifies the cell for routing (SubmitCell), shard statistics,
-	// and CellResult. Trace captures name repetition rep
-	// "<Key>,rep=<rep>".
+	// Key identifies the cell in CellResult. Trace captures name
+	// repetition rep "<Key>,rep=<rep>".
 	Key string
 	// N is the per-instance process count.
 	N int
@@ -70,6 +71,12 @@ type CellRequest struct {
 	// the serving worker. The caller must not touch the sink until the
 	// CellResult is delivered.
 	Sink CellSink
+	// Metrics, when non-nil, receives the cell's telemetry.
+	Metrics *Metrics
+	// Trace, when non-nil, records every repetition and keeps the
+	// Trace.PerShard most interesting on CellResult.Traces (see
+	// TraceConfig.Merge).
+	Trace *TraceConfig
 }
 
 // CellResult reports one served cell.
@@ -86,22 +93,20 @@ type CellResult struct {
 	Errors int64
 	// FirstErr is the first repetition failure, if any.
 	FirstErr error
+	// Stats holds the cell's own counters.
+	Stats ShardStats
+	// Traces holds a traced cell's captures, most interesting first.
+	Traces []trace.Instance
 	// Latency is the wall-clock time from submission to cell completion —
 	// the only nondeterministic field.
 	Latency time.Duration
 }
 
-// SubmitCell enqueues one cell and returns the channel its CellResult
-// will be delivered on. The cell routes by Key exactly like Submit; it
+// submitCell validates and enqueues one cell on an explicit shard. It
 // occupies one queue slot regardless of Reps, blocks only on a full
-// shard queue, and returns ErrClosed after Close.
-func (a *Arena) SubmitCell(cr CellRequest) (<-chan CellResult, error) {
-	return a.submitCell(cr, a.ShardFor(cr.Key))
-}
-
-// submitCell validates and enqueues one cell on an explicit shard.
-// Placement never influences outcomes (the cell carries its own seeds),
-// so RunCells is free to place cells round-robin for load balance.
+// shard queue, and returns ErrClosed after Close. Placement never
+// influences outcomes (the cell carries its own seeds), so RunCells is
+// free to place cells round-robin for load balance.
 func (a *Arena) submitCell(cr CellRequest, shard int) (<-chan CellResult, error) {
 	if cr.Reps < 1 {
 		return nil, fmt.Errorf("arena: cell reps must be at least 1, got %d", cr.Reps)
@@ -131,31 +136,16 @@ func (a *Arena) submitCell(cr CellRequest, shard int) (<-chan CellResult, error)
 	return req.cellDone, nil
 }
 
-// RunCell submits one cell and waits for it or for ctx. On ctx expiry
-// the cell still runs to completion in the background; only the wait is
-// abandoned (the sink keeps filling until the abandoned result would
-// have been delivered).
-func (a *Arena) RunCell(ctx context.Context, cr CellRequest) (CellResult, error) {
-	done, err := a.SubmitCell(cr)
-	if err != nil {
-		return CellResult{}, err
-	}
-	select {
-	case res := <-done:
-		return res, nil
-	case <-ctx.Done():
-		return CellResult{}, ctx.Err()
-	}
-}
-
 // RunCells pipelines count cells through the arena with a bounded
 // submission window and delivers results to fn in submission order —
 // fn(i, result of gen(i)) — which is what lets a caller fold a
 // deterministic aggregate while memory stays bounded by the window.
 // gen(i) is called once per index, in order; fn runs on the caller's
-// goroutine. Cells are placed round-robin across shards (placement
-// cannot affect outcomes, so balanced placement is free throughput;
-// consistent-hash routing would idle shards whenever a few keys collide).
+// goroutine. Cells are placed round-robin across shards, carried on from
+// the arena's previous call (placement cannot affect outcomes, so
+// balanced placement is free throughput; consistent-hash routing would
+// idle shards whenever a few keys collide). Any number of callers may
+// run cells on one arena at once.
 //
 // Cancellation is clean by construction: on ctx expiry submission stops,
 // every already-submitted cell runs to completion and is delivered to
@@ -167,13 +157,7 @@ func (a *Arena) RunCells(ctx context.Context, count int, gen func(i int) CellReq
 	// Cells are coarse units: a window of one extra cell per shard beyond
 	// the in-service slots keeps every worker busy without parking long
 	// queues of committed work behind slow cells.
-	window := len(a.shards) * (a.cfg.Workers + 1)
-	if window > count {
-		window = count
-	}
-	if window < 1 {
-		window = 1
-	}
+	window := min(count, len(a.shards)*(a.cfg.Workers+1))
 	chans := make([]<-chan CellResult, window)
 	submitted, delivered := 0, 0
 	deliver := func() {
@@ -187,7 +171,7 @@ func (a *Arena) RunCells(ctx context.Context, count int, gen func(i int) CellReq
 			err = e
 			break
 		}
-		done, e := a.submitCell(gen(i), i%len(a.shards))
+		done, e := a.submitCell(gen(i), int((a.next.Add(1)-1)%uint64(len(a.shards))))
 		if e != nil {
 			err = e
 			break
@@ -204,10 +188,11 @@ func (a *Arena) RunCells(ctx context.Context, count int, gen func(i int) CellReq
 	return err
 }
 
-// serveCell runs one whole cell on the serving worker: inputs built once,
-// one spec reseeded in place, every repetition folded into the sink and a
-// worker-local stats block that merges under the shard lock exactly once.
-func (a *Arena) serveCell(s *shard, sess *engine.Session, req *request, wm *workerMetrics, tk *traceKeeper) CellResult {
+// serveCell runs one whole cell on the serving worker, whose session
+// the worker has armed for the cell's Trace: inputs built once, one spec
+// reseeded in place, and every repetition folded into the sink, the
+// cell's own counters and, when traced, its own keeper.
+func (a *Arena) serveCell(s *shard, sess *engine.Session, req *request, idx int) CellResult {
 	cr := req.cell
 	model := cr.Model
 	if model == nil {
@@ -235,8 +220,10 @@ func (a *Arena) serveCell(s *shard, sess *engine.Session, req *request, wm *work
 	}
 	seed := cr.Seed
 	rec := sess.Trace()
+	var tk *traceKeeper
 	var repSeed uint64
 	if rec != nil {
+		tk = &traceKeeper{k: cr.Trace.budget()}
 		// RunBatch derives each repetition's seed immediately before
 		// running it: the one point to reset the recorder and remember
 		// the seed for the capture.
@@ -247,40 +234,31 @@ func (a *Arena) serveCell(s *shard, sess *engine.Session, req *request, wm *work
 		}
 	}
 	out := CellResult{Key: cr.Key, Shard: s.id, Reps: cr.Reps}
-	var local ShardStats
+	wm := cr.Metrics.stripes(idx)
 	sink := cr.Sink
 	n := cr.N
 	engine.RunBatch(model, spec, sess, cr.Reps, seed, func(rep int, r engine.Result, err error) {
-		res := Result{Key: cr.Key, Shard: s.id}
-		if err != nil {
-			res.Err = err
-			out.Errors++
-			if out.FirstErr == nil {
-				out.FirstErr = err
-			}
-		} else {
-			res.Value = r.Value
-			res.FirstRound = r.FirstRound
-			res.LastRound = r.LastRound
-			res.Ops = r.Ops
-			res.SimTime = r.SimTime
+		res := newResult(cr.Key, s.id, r, err)
+		if err != nil && out.FirstErr == nil {
+			out.FirstErr = err
 		}
-		local.add(res)
+		out.Stats.add(res)
 		sink.Add(n, res)
 		if wm != nil {
 			wm.latency.Observe(time.Since(req.enq).Seconds())
 		}
-		if rec != nil {
+		if tk != nil {
 			key := fmt.Sprintf("%s,rep=%d", cr.Key, rep)
 			tk.consider(model.Name(), engine.Spec{Key: key, N: n, Seed: repSeed}, res, rec)
 		}
 	})
 	out.Latency = time.Since(req.enq)
-	s.mu.Lock()
-	s.stats.merge(local)
-	s.mu.Unlock()
+	out.Errors = out.Stats.Errors
 	if wm != nil {
-		wm.recordCell(local)
+		wm.recordCell(out.Stats)
+	}
+	if tk != nil {
+		out.Traces = tk.kept
 	}
 	return out
 }

@@ -26,13 +26,23 @@ func (s *recordingSink) Add(n int, r arena.Result) {
 
 func cellSeed(c, rep int) uint64 { return uint64(c*1000+rep)*2654435761 + 7 }
 
+// runCell serves one cell through RunCells and returns its result.
+func runCell(a *arena.Arena, cr arena.CellRequest) (arena.CellResult, error) {
+	var res arena.CellResult
+	err := a.RunCells(context.Background(), 1,
+		func(int) arena.CellRequest { return cr },
+		func(_ int, r arena.CellResult) { res = r })
+	return res, err
+}
+
 // TestRunCellsMatchesLoop is the cell path's core identity, checked
 // against an independent oracle: the same workload pushed through
 // RunCells (one queue entry per cell, batched on a pooled session) on two
 // pool shapes yields, rep for rep, the results of a plain loop of direct
-// model runs; cells are delivered in submission order; the shard stats
-// total the loop's counters; and the metrics agree with both, with one
-// latency observation per repetition.
+// model runs; cells are delivered in submission order; the cells' own
+// counters total the loop's; and the cells' metrics bundle agrees with
+// both, with one latency observation per repetition, while the arena's
+// own bundle and stats see nothing.
 func TestRunCellsMatchesLoop(t *testing.T) {
 	sched, err := engine.ByName("sched")
 	if err != nil {
@@ -85,17 +95,20 @@ func TestRunCellsMatchesLoop(t *testing.T) {
 	for _, shape := range [][2]int{{3, 2}, {5, 1}} {
 		reg := metrics.NewRegistry()
 		m := arena.NewMetrics(reg, "path", "cell")
-		a, err := arena.New(arena.Config{Shards: shape[0], Workers: shape[1], Metrics: m})
+		own := arena.NewMetrics(reg, "path", "arena")
+		a, err := arena.New(arena.Config{Shards: shape[0], Workers: shape[1], Metrics: own})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sinks := make([]*recordingSink, cells)
 		next := 0
+		var st arena.ShardStats
 		err = a.RunCells(context.Background(), cells,
 			func(c int) arena.CellRequest {
 				sinks[c] = &recordingSink{}
 				cr := gen(c)
 				cr.Sink = sinks[c]
+				cr.Metrics = m
 				return cr
 			},
 			func(c int, r arena.CellResult) {
@@ -103,6 +116,10 @@ func TestRunCellsMatchesLoop(t *testing.T) {
 					t.Fatalf("shape %v: delivery out of order: got cell %d, want %d", shape, c, next)
 				}
 				next++
+				if r.Stats.Proposals != reps {
+					t.Fatalf("shape %v: cell %d counted %d repetitions", shape, c, r.Stats.Proposals)
+				}
+				st.Merge(r.Stats)
 				if r.Reps != reps || r.Errors != 0 || r.FirstErr != nil {
 					t.Fatalf("shape %v: cell %d result %+v", shape, c, r)
 				}
@@ -139,11 +156,17 @@ func TestRunCellsMatchesLoop(t *testing.T) {
 			}
 		}
 
-		// Aggregate identity: the shards total exactly the loop's counters
-		// (per-shard splits follow placement).
-		st := a.Stats().Totals
+		// Aggregate identity: the cells total exactly the loop's counters,
+		// and the arena's own counters, kept for derived instances, stay
+		// empty.
 		if st != want {
 			t.Fatalf("shape %v: stats totals diverged:\n  cells %+v\n  loop  %+v", shape, st, want)
+		}
+		if got := a.Stats().Totals; got != (arena.ShardStats{}) {
+			t.Fatalf("shape %v: cells leaked into the arena's stats: %+v", shape, got)
+		}
+		if got := own.Decided[0].Value() + own.Decided[1].Value() + own.Latency.Count(); got != 0 {
+			t.Fatalf("shape %v: cells leaked into the arena's metrics bundle: %d", shape, got)
 		}
 
 		// Metrics: counters fold in bulk per cell but must agree with the
@@ -181,7 +204,7 @@ func TestRunCellExplicitModel(t *testing.T) {
 	defer a.Close()
 	sink := &recordingSink{}
 	const reps = 10
-	res, err := a.RunCell(context.Background(), arena.CellRequest{
+	res, err := runCell(a, arena.CellRequest{
 		Model: hy,
 		Key:   "hybrid-cell",
 		N:     6,
@@ -190,7 +213,7 @@ func TestRunCellExplicitModel(t *testing.T) {
 		Sink:  sink,
 	})
 	if err != nil || res.Errors != 0 {
-		t.Fatalf("RunCell: %v, %+v", err, res)
+		t.Fatalf("RunCells: %v, %+v", err, res)
 	}
 	inputs := []int{0, 0, 0, 1, 1, 1}
 	for rep := 0; rep < reps; rep++ {
@@ -205,8 +228,8 @@ func TestRunCellExplicitModel(t *testing.T) {
 	}
 }
 
-// TestSubmitCellValidation covers the client-error paths, including
-// submission after Close.
+// TestSubmitCellValidation covers the client-error paths of RunCells,
+// including submission after Close.
 func TestSubmitCellValidation(t *testing.T) {
 	a, err := arena.New(arena.Config{Shards: 1, Workers: 1})
 	if err != nil {
@@ -228,25 +251,26 @@ func TestSubmitCellValidation(t *testing.T) {
 	for _, tc := range bad {
 		cr := ok
 		tc.mut(&cr)
-		if _, err := a.SubmitCell(cr); err == nil {
-			t.Errorf("SubmitCell accepted %s", tc.name)
+		if _, err := runCell(a, cr); err == nil {
+			t.Errorf("RunCells accepted %s", tc.name)
 		}
 	}
-	if _, err := a.SubmitCell(ok); err != nil {
-		t.Fatalf("SubmitCell rejected a valid cell: %v", err)
+	if _, err := runCell(a, ok); err != nil {
+		t.Fatalf("RunCells rejected a valid cell: %v", err)
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.SubmitCell(ok); !errors.Is(err, arena.ErrClosed) {
-		t.Fatalf("SubmitCell after Close returned %v, want ErrClosed", err)
+	if _, err := runCell(a, ok); !errors.Is(err, arena.ErrClosed) {
+		t.Fatalf("RunCells after Close returned %v, want ErrClosed", err)
 	}
 }
 
-// TestCellOnTracedArena pins the trace interaction: every repetition of
-// a cell served on a traced arena is offered to the capture set under
-// "<key>,rep=<i>" with its own seed, and a later Submit on the same
-// worker is still captured.
+// TestCellOnTracedArena pins the trace interaction on a shared arena:
+// every repetition of a traced cell is captured under "<key>,rep=<i>"
+// with its own seed and returned on the cell's result, never in the
+// arena's own capture set; a later Submit on the same worker is captured
+// by the arena only; and an untraced cell after them records nothing.
 func TestCellOnTracedArena(t *testing.T) {
 	const reps = 30
 	a, err := arena.New(arena.Config{Shards: 1, Workers: 1, Trace: &arena.TraceConfig{PerShard: reps + 1}})
@@ -254,36 +278,44 @@ func TestCellOnTracedArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &recordingSink{}
-	_, err = a.RunCell(context.Background(), arena.CellRequest{
+	res, err := runCell(a, arena.CellRequest{
 		Key: "batched", N: 4, Noise: dist.Exponential{MeanVal: 1}, Reps: reps,
-		Seed: func(rep int) uint64 { return uint64(rep + 1) },
-		Sink: sink,
+		Seed:  func(rep int) uint64 { return uint64(rep + 1) },
+		Sink:  sink,
+		Trace: &arena.TraceConfig{PerShard: reps},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.Propose(context.Background(), "submitted", 1)
-	if err != nil || res.Err != nil {
-		t.Fatalf("Submit after cell: %v / %v", err, res.Err)
+	sub, err := a.Propose(context.Background(), "submitted", 1)
+	if err != nil || sub.Err != nil {
+		t.Fatalf("Submit after cell: %v / %v", err, sub.Err)
+	}
+	plain, err := runCell(a, arena.CellRequest{
+		Key: "untraced", N: 4, Noise: dist.Exponential{MeanVal: 1}, Reps: 3,
+		Seed: func(rep int) uint64 { return uint64(rep + 1) }, Sink: &recordingSink{},
+	})
+	if err != nil || plain.Traces != nil {
+		t.Fatalf("untraced cell: %v, captured %d", err, len(plain.Traces))
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	traces := a.Traces()
-	if len(traces) != reps+1 {
-		t.Fatalf("captured %d instances, want %d cell repetitions and one Submit", len(traces), reps+1)
+	if len(res.Traces) != reps {
+		t.Fatalf("cell captured %d instances, want its %d repetitions", len(res.Traces), reps)
 	}
 	seen := make(map[string]bool)
-	for _, inst := range traces {
+	for _, inst := range res.Traces {
 		seen[inst.Key] = true
 		if len(inst.Events) == 0 {
 			t.Fatalf("capture %q has no events", inst.Key)
 		}
 		var rep int
-		if _, err := fmt.Sscanf(inst.Key, "batched,rep=%d", &rep); err == nil {
-			if inst.Seed != uint64(rep+1) || inst.LastRound != sink.results[rep].LastRound {
-				t.Fatalf("capture %q does not describe repetition %d: %+v", inst.Key, rep, inst)
-			}
+		if _, err := fmt.Sscanf(inst.Key, "batched,rep=%d", &rep); err != nil {
+			t.Fatalf("cell capture %q is not one of its repetitions", inst.Key)
+		}
+		if inst.Seed != uint64(rep+1) || inst.LastRound != sink.results[rep].LastRound {
+			t.Fatalf("capture %q does not describe repetition %d: %+v", inst.Key, rep, inst)
 		}
 	}
 	for rep := 0; rep < reps; rep++ {
@@ -291,8 +323,8 @@ func TestCellOnTracedArena(t *testing.T) {
 			t.Fatalf("repetition %d not captured: %v", rep, seen)
 		}
 	}
-	if !seen["submitted"] {
-		t.Fatalf("Submit after a cell not captured: %v", seen)
+	if got := a.Traces(); len(got) != 1 || got[0].Key != "submitted" || len(got[0].Events) == 0 {
+		t.Fatalf("arena captured %+v, want only the Submit after the cell", got)
 	}
 }
 
@@ -333,7 +365,7 @@ func TestRunCellsCancelDrains(t *testing.T) {
 		t.Fatalf("delivered %d cells; want every submitted cell and nowhere near %d", delivered, count)
 	}
 	sink := &recordingSink{}
-	res, err := a.RunCell(context.Background(), arena.CellRequest{
+	res, err := runCell(a, arena.CellRequest{
 		Key: "after", N: 4, Noise: dist.Exponential{MeanVal: 1}, Reps: 3,
 		Seed: func(rep int) uint64 { return uint64(rep + 1) }, Sink: sink,
 	})
@@ -342,21 +374,29 @@ func TestRunCellsCancelDrains(t *testing.T) {
 	}
 }
 
-// TestRunCellContextExpiry: an expired wait abandons the result but the
-// cell still runs; the arena drains cleanly afterwards.
+// TestRunCellContextExpiry: a context that expires while a cell is in
+// flight stops submission, but the cell still runs to completion and is
+// delivered, and the arena drains cleanly afterwards.
 func TestRunCellContextExpiry(t *testing.T) {
 	a, err := arena.New(arena.Config{Shards: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err = a.RunCell(ctx, arena.CellRequest{
-		Key: "abandoned", N: 4, Noise: dist.Exponential{MeanVal: 1}, Reps: 2,
-		Seed: func(rep int) uint64 { return uint64(rep + 1) }, Sink: &recordingSink{},
-	})
+	sink := &recordingSink{}
+	var got []arena.CellResult
+	err = a.RunCells(ctx, 2, func(int) arena.CellRequest {
+		cancel()
+		return arena.CellRequest{
+			Key: "abandoned", N: 4, Noise: dist.Exponential{MeanVal: 1}, Reps: 2,
+			Seed: func(rep int) uint64 { return uint64(rep + 1) }, Sink: sink,
+		}
+	}, func(_ int, r arena.CellResult) { got = append(got, r) })
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCell returned %v, want context.Canceled", err)
+		t.Fatalf("RunCells returned %v, want context.Canceled", err)
+	}
+	if len(got) != 1 || got[0].Reps != 2 || len(sink.results) != 2 {
+		t.Fatalf("in-flight cell: delivered %+v, folded %d repetitions", got, len(sink.results))
 	}
 	done := make(chan error, 1)
 	go func() { done <- a.Close() }()
@@ -366,6 +406,60 @@ func TestRunCellContextExpiry(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Close hung with an abandoned cell in flight")
+		t.Fatal("Close hung after a cancelled cell")
+	}
+}
+
+// TestRunCellsRoundRobinAcrossCalls: placement carries on from one call
+// to the next, so consecutive one-cell callers on a shared arena are
+// served by different shards instead of all queueing on shard 0.
+func TestRunCellsRoundRobinAcrossCalls(t *testing.T) {
+	a, err := arena.New(arena.Config{Shards: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	cr := arena.CellRequest{
+		Key: "one", N: 4, Noise: dist.Exponential{MeanVal: 1}, Reps: 1,
+		Seed: func(int) uint64 { return 1 }, Sink: &recordingSink{},
+	}
+	first, err := runCell(a, cr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := runCell(a, cr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Shard == second.Shard {
+		t.Fatalf("two consecutive one-cell calls both ran on shard %d", first.Shard)
+	}
+}
+
+// TestCellMetricsQueuedGauge: a cell charges its own bundle's queued
+// gauge when it is enqueued and returns the slot when served, so the
+// gauge reads exactly 0 after a drain even when the arena has no bundle
+// of its own.
+func TestCellMetricsQueuedGauge(t *testing.T) {
+	a, err := arena.New(arena.Config{Shards: 2, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	m := arena.NewMetrics(metrics.NewRegistry(), "path", "cell")
+	err = a.RunCells(context.Background(), 9, func(c int) arena.CellRequest {
+		return arena.CellRequest{
+			Key: fmt.Sprintf("c-%d", c), N: 4, Noise: dist.Exponential{MeanVal: 1}, Reps: 4,
+			Seed: func(rep int) uint64 { return cellSeed(c, rep) }, Sink: &recordingSink{}, Metrics: m,
+		}
+	}, func(int, arena.CellResult) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Queued.Value(); got != 0 {
+		t.Fatalf("queued gauge = %d after the cells drained, want 0", got)
+	}
+	if got := m.Latency.Count(); got != 9*4 {
+		t.Fatalf("latency histogram holds %d observations, want %d", got, 9*4)
 	}
 }

@@ -6,12 +6,13 @@ import (
 	"leanconsensus/internal/metrics"
 )
 
-// Metrics is the arena's telemetry bundle. All fields must be non-nil
-// when Config.Metrics is set; build one with NewMetrics so every arena
-// emits the same metric families. Workers record through per-worker
-// stripes, so the instrumented hot path costs a handful of uncontended
-// atomic adds and zero allocations per served instance
-// (BenchmarkArenaThroughput's telemetry dimension proves it).
+// Metrics is a telemetry bundle: the arena's own (Config.Metrics) or a
+// cell's (CellRequest.Metrics). All fields must be non-nil; build one
+// with NewMetrics so every bundle emits the same metric families.
+// Workers record through per-worker stripes, so the instrumented hot
+// path costs a handful of uncontended atomic adds and zero allocations
+// per served instance (BenchmarkArenaThroughput's telemetry dimension
+// proves it).
 type Metrics struct {
 	// Decided counts decisions by decided value.
 	Decided [2]*metrics.Counter
@@ -76,8 +77,11 @@ type workerMetrics struct {
 	queued  metrics.GaugeStripe
 }
 
-// stripes resolves the bundle onto stripe idx.
+// stripes resolves the bundle onto stripe idx; nil for a nil bundle.
 func (m *Metrics) stripes(idx int) *workerMetrics {
+	if m == nil {
+		return nil
+	}
 	return &workerMetrics{
 		decided: [2]metrics.CounterStripe{m.Decided[0].Stripe(idx), m.Decided[1].Stripe(idx)},
 		errors:  m.Errors.Stripe(idx),

@@ -12,8 +12,11 @@ import (
 // applies when PerShard is zero.
 const DefaultTracePerShard = 2
 
-// TraceConfig arms the arena's flight recorder: every worker runs with
-// a pooled trace.Recorder on its session, and each shard keeps the
+// TraceConfig arms a flight recorder, the arena's (Config.Trace) or a
+// cell's (CellRequest.Trace): the serving worker runs with a pooled
+// trace.Recorder of trace.DefaultCapacity events on its session
+// (instances longer than the ring keep their newest window and report
+// the overwritten count as Dropped), and each shard (or cell) keeps the
 // PerShard most interesting instances — violating instances first
 // (errors are the paper's broken guarantees), then the slowest by
 // decision round. "Slowest" is deliberately a deterministic quantity
@@ -24,22 +27,14 @@ type TraceConfig struct {
 	// PerShard is the capture budget per shard (default
 	// DefaultTracePerShard).
 	PerShard int
-	// Events is each worker recorder's ring capacity (default
-	// trace.DefaultCapacity). Instances longer than the ring keep their
-	// newest window and report the overwritten count as Dropped.
-	Events int
 }
 
-// withDefaults returns the effective capture parameters.
-func (tc *TraceConfig) withDefaults() (perShard, events int) {
-	perShard, events = tc.PerShard, tc.Events
-	if perShard <= 0 {
-		perShard = DefaultTracePerShard
+// budget returns the effective per-shard capture budget.
+func (tc *TraceConfig) budget() int {
+	if tc.PerShard <= 0 {
+		return DefaultTracePerShard
 	}
-	if events <= 0 {
-		events = trace.DefaultCapacity
-	}
-	return perShard, events
+	return tc.PerShard
 }
 
 // traceRank orders captured instances from most to least interesting:
@@ -60,15 +55,13 @@ func traceRank(a, b *trace.Instance) bool {
 	return a.Key < b.Key
 }
 
-// traceKeeper keeps one worker's top-K captures, sorted by traceRank.
-// Each worker owns exactly one keeper (double-buffered ranking): the
-// serving path ranks and copies events into worker-private state, so
-// capture never serializes sibling workers the way a shared per-shard
-// set would. The mutex exists only for Arena.Traces' snapshot reads —
-// the worker itself never contends on it. A worker's top-K of its own
-// served subset is a superset of that subset's contribution to the
-// shard's true top-K, so merging keepers per shard (Traces) reproduces
-// the shard-global ranking exactly.
+// traceKeeper keeps one worker's (or one traced cell's) top-K captures,
+// sorted by traceRank. Each worker owns one keeper for derived instances
+// (double-buffered ranking): the serving path ranks and copies events
+// into worker-private state, so capture never serializes sibling
+// workers the way a shared per-shard set would. The mutex exists only
+// for Arena.Traces' snapshot reads — the worker itself never contends on
+// it. Merge turns keepers' top-Ks into the shard-global ranking.
 type traceKeeper struct {
 	mu   sync.Mutex
 	k    int
@@ -107,30 +100,37 @@ func (t *traceKeeper) snapshot() []trace.Instance {
 	return append([]trace.Instance(nil), t.kept...)
 }
 
-// Traces returns the captured instances across all shards, most
-// interesting first (see TraceConfig for the deterministic order). It
-// returns nil when tracing is not configured. Per shard, the workers'
-// private keepers are merged, re-ranked, and truncated to the shard
-// budget — byte-identical to ranking shard-globally, since any instance
-// in the shard's true top-K survives its own worker's top-K cut. The
-// snapshot is consistent per keeper; callers wanting the final capture
-// set call it after Close or after their batch has drained.
+// Traces returns the derived (Submit/Propose) instances captured across
+// all shards, the workers' keepers merged per shard (Merge). It returns
+// nil when tracing is not configured. The snapshot is consistent per
+// keeper; callers wanting the final capture set call it after Close or
+// after their batch has drained.
 func (a *Arena) Traces() []trace.Instance {
 	if a.cfg.Trace == nil {
 		return nil
 	}
-	perShard, _ := a.cfg.Trace.withDefaults()
+	shards := make([][]trace.Instance, len(a.shards))
+	for idx, tk := range a.keepers {
+		si := idx / a.cfg.Workers
+		shards[si] = append(shards[si], tk.snapshot()...)
+	}
+	return a.cfg.Trace.Merge(shards)
+}
+
+// Merge ranks captures grouped by shard into one capture set: each
+// group is ranked in place and cut to the PerShard budget, then the
+// survivors are ranked together, most interesting first. An instance in
+// a group's true top-K survives the top-K cut of whichever keeper saw
+// it, so the result is byte-identical to ranking each shard in one
+// place. Cell callers group CellResult.Traces by logical shard, cell
+// index mod the shard count, so the capture set does not depend on
+// where the cells ran.
+func (tc *TraceConfig) Merge(shards [][]trace.Instance) []trace.Instance {
+	perShard := tc.budget()
 	var all []trace.Instance
-	for si := range a.shards {
-		var merged []trace.Instance
-		for w := 0; w < a.cfg.Workers; w++ {
-			merged = append(merged, a.keepers[si*a.cfg.Workers+w].snapshot()...)
-		}
+	for _, merged := range shards {
 		sort.SliceStable(merged, func(i, j int) bool { return traceRank(&merged[i], &merged[j]) })
-		if len(merged) > perShard {
-			merged = merged[:perShard]
-		}
-		all = append(all, merged...)
+		all = append(all, merged[:min(len(merged), perShard)]...)
 	}
 	sort.SliceStable(all, func(i, j int) bool { return traceRank(&all[i], &all[j]) })
 	return all

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"leanconsensus/internal/dist"
 	"leanconsensus/internal/engine"
 	"leanconsensus/internal/trace"
 )
@@ -114,18 +115,14 @@ func TestArenaTraceOffKeepsReportBytes(t *testing.T) {
 	}
 }
 
-// TestArenaTraceKeepsViolations submits an instance that must fail (an
-// adversary the model cannot run) among clean ones and requires the
-// violating capture to rank first.
+// TestArenaTraceKeepsViolations runs a cell whose every instance must
+// fail (an adversary the model cannot run) beside clean cells on a
+// traced shared arena, and requires the violating capture to rank first
+// once the cells' captures merge per logical shard.
 func TestArenaTraceKeepsViolations(t *testing.T) {
-	a, err := New(Config{Shards: 1, Workers: 1, Seed: 5, Trace: &TraceConfig{PerShard: 2}})
+	a, err := New(Config{Shards: 2, Workers: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := a.Propose(context.Background(), fmt.Sprintf("ok-%d", i), 0); err != nil {
-			t.Fatal(err)
-		}
 	}
 	adv, err := engine.ResolveAdversary("antileader:m=4")
 	if err != nil {
@@ -135,20 +132,37 @@ func TestArenaTraceKeepsViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// msgnet rejects adversarial schedules with the engine's typed error:
-	// a guaranteed violating one-rep cell.
-	res, err := a.RunCell(context.Background(), CellRequest{
-		Model: msgnetModel, Key: "bad", N: 4, Adversary: adv, Reps: 1,
-		Seed: func(int) uint64 { return 1 }, Sink: discardSink{},
+	tc := &TraceConfig{PerShard: 2}
+	const cells = 5
+	shards := make([][]trace.Instance, a.Shards())
+	err = a.RunCells(context.Background(), cells, func(c int) CellRequest {
+		cr := CellRequest{
+			Key: fmt.Sprintf("ok-%d", c), N: 4, Noise: dist.Exponential{MeanVal: 1}, Reps: 10,
+			Seed: func(rep int) uint64 { return uint64(c*100 + rep) }, Sink: discardSink{}, Trace: tc,
+		}
+		if c == 3 {
+			// msgnet rejects adversarial schedules with the engine's typed
+			// error: a guaranteed violating one-rep cell.
+			cr = CellRequest{
+				Model: msgnetModel, Key: "bad", N: 4, Adversary: adv, Reps: 1,
+				Seed: func(int) uint64 { return 1 }, Sink: discardSink{}, Trace: tc,
+			}
+		}
+		return cr
+	}, func(c int, r CellResult) {
+		if (c == 3) != (r.FirstErr != nil) {
+			t.Errorf("cell %d: first error %v", c, r.FirstErr)
+		}
+		shards[c%len(shards)] = append(shards[c%len(shards)], r.Traces...)
 	})
-	if err != nil || res.FirstErr == nil {
-		t.Fatalf("expected the adversarial msgnet instance to fail: %v / %+v", err, res)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	traces := a.Traces()
-	if len(traces) == 0 || traces[0].Err == "" || traces[0].Key != "bad,rep=0" {
+	traces := tc.Merge(shards)
+	if len(traces) != 2*len(shards) || traces[0].Err == "" || traces[0].Key != "bad,rep=0" {
 		t.Fatalf("violating instance not ranked first: %+v", traces)
 	}
 }

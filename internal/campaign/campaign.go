@@ -5,7 +5,8 @@
 // noise distributions, process counts, and seeds, with a fixed number of
 // repetitions per grid cell — that compiles to one arena cell
 // (arena.CellRequest) per grid cell and executes through the sharded
-// arena's worker pools, zero-allocation in steady state.
+// arena's worker pools (a private one, or a shared one with RunOn),
+// zero-allocation in steady state.
 //
 // Three properties make campaigns production-shaped:
 //
@@ -42,6 +43,7 @@ import (
 	"leanconsensus/internal/engine"
 	"leanconsensus/internal/obslog"
 	"leanconsensus/internal/stats"
+	"leanconsensus/internal/trace"
 	"leanconsensus/internal/xrand"
 )
 
@@ -343,7 +345,7 @@ func (c *CellStats) Add(n int, r arena.Result) {
 // Config carries the runtime knobs of Campaign.Run — everything that is
 // not part of the campaign's identity (and therefore not hashed).
 type Config struct {
-	// Shards and Workers set the arena pool shape (defaults
+	// Shards and Workers set the shape of Run's private arena (defaults
 	// arena.DefaultShards / arena.DefaultWorkers). The shape affects only
 	// wall-clock speed, never report bytes.
 	Shards, Workers int
@@ -360,21 +362,21 @@ type Config struct {
 	// OnCell, when non-nil, is called serially after each cell completes
 	// (including, once at startup, for cells restored from a checkpoint).
 	OnCell func(Progress)
-	// Trace, when non-nil, arms the private arena's flight recorder and
+	// Trace, when non-nil, arms the flight recorder on every cell run and
 	// attaches the capture set to Report.Trace (see arena.TraceConfig).
 	// Repetition rep of a cell is captured as "<cell key>,rep=<rep>"; the
-	// per-shard budget ranks the repetitions of the cells each shard
-	// served. Captures cover only cells executed by this process — cells
-	// restored from a checkpoint were traced, if at all, by the run that
-	// executed them.
+	// per-shard budget ranks the repetitions of the cells of each logical
+	// shard (the k-th cell run mod the shard count). Captures cover only
+	// cells executed by this process — cells restored from a checkpoint
+	// were traced, if at all, by the run that executed them.
 	Trace *arena.TraceConfig
 	// Journal, when non-nil, receives the campaign's lifecycle events —
 	// campaign.cell.done per completed cell (carrying the cell's full
 	// workload axes), campaign.checkpoint per manifest write,
-	// campaign.resume on checkpoint restore, and the private arena's
-	// arena.drain — all chained to Correlation. Journal content never
-	// feeds reports, checkpoints, or resume decisions, so journaled runs
-	// stay byte-identical to silent ones.
+	// campaign.resume on checkpoint restore, and arena.drain counting the
+	// repetitions run once the cells drain — all chained to Correlation.
+	// Journal content never feeds reports, checkpoints, or resume
+	// decisions, so journaled runs stay byte-identical to silent ones.
 	Journal *obslog.Journal
 	// Correlation is the ID the campaign's journal events chain to (the
 	// server's campaign ID; "" for an uncorrelated run, e.g. leansweep).
@@ -412,8 +414,19 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Report, error) {
 	return c.Run(ctx, cfg)
 }
 
-// Run executes every cell of the campaign through a private arena and
-// returns the deterministic report. Each pending cell is one
+// Run is RunOn on a private arena of cfg's shape.
+func (c *Campaign) Run(ctx context.Context, cfg Config) (*Report, error) {
+	a, err := arena.New(arena.Config{Shards: cfg.Shards, Workers: cfg.Workers})
+	if err != nil {
+		return nil, err
+	}
+	defer a.Close()
+	return c.RunOn(ctx, a, cfg)
+}
+
+// RunOn executes every cell of the campaign on arena a, which other
+// callers may share, and returns the deterministic report. Each pending
+// cell is one
 // arena.CellRequest whose sink is the cell's CellStats: a worker runs the
 // cell's repetitions as one tight loop over its pooled session and folds
 // them in repetition order. Cells pipeline across shards concurrently,
@@ -421,14 +434,7 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Report, error) {
 // order. On ctx cancellation Run stops cleanly — in-flight cells drain
 // unreported, the manifest keeps every completed cell — and returns
 // ctx.Err(); resuming later re-executes only the missing cells.
-func (c *Campaign) Run(ctx context.Context, cfg Config) (*Report, error) {
-	if cfg.Shards == 0 {
-		cfg.Shards = arena.DefaultShards
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = arena.DefaultWorkers
-	}
-
+func (c *Campaign) RunOn(ctx context.Context, a *arena.Arena, cfg Config) (*Report, error) {
 	done := make(map[string]*CellStats)
 	if cfg.Checkpoint != "" {
 		loaded, err := loadManifest(cfg.Checkpoint, c, cfg.Resume)
@@ -461,15 +467,6 @@ func (c *Campaign) Run(ctx context.Context, cfg Config) (*Report, error) {
 			})
 		}
 	}
-
-	a, err := arena.New(arena.Config{
-		Shards: cfg.Shards, Workers: cfg.Workers, Trace: cfg.Trace,
-		Journal: cfg.Journal, Owner: cfg.Correlation,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer a.Close()
 
 	// complete folds one executed cell into the campaign state, in grid
 	// order. latency is the cell's wall-clock execution time —
@@ -509,12 +506,14 @@ func (c *Campaign) Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	sinks := make([]*CellStats, len(pending))
+	captures := make([][]trace.Instance, a.Shards()) // by logical shard
+	var ran int64
 	// A completion failure (checkpoint write) cancels submission; cells
 	// already in flight drain and their sinks simply go unreported.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var completeErr error
-	err = a.RunCells(runCtx, len(pending),
+	err := a.RunCells(runCtx, len(pending),
 		func(k int) arena.CellRequest {
 			cell := &c.Cells[pending[k]]
 			job := cell.Job
@@ -528,9 +527,12 @@ func (c *Campaign) Run(ctx context.Context, cfg Config) (*Report, error) {
 				Reps:      job.Instances,
 				Seed:      func(rep int) uint64 { return InstanceSeed(job.Seed, job.N, rep) },
 				Sink:      sinks[k],
+				Trace:     cfg.Trace,
 			}
 		},
 		func(k int, r arena.CellResult) {
+			ran += r.Stats.Proposals
+			captures[k%len(captures)] = append(captures[k%len(captures)], r.Traces...)
 			if completeErr == nil {
 				// Submission races ahead of completion, so by the time a
 				// caller cancels (often from OnCell) every cell may
@@ -547,6 +549,7 @@ func (c *Campaign) Run(ctx context.Context, cfg Config) (*Report, error) {
 				cancel()
 			}
 		})
+	cfg.Journal.Append(obslog.KindArenaDrain, "", cfg.Correlation, obslog.Labels{Count: ran})
 	if completeErr != nil {
 		return nil, completeErr
 	}
@@ -555,7 +558,7 @@ func (c *Campaign) Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	rep := c.buildReport(results)
 	if cfg.Trace != nil {
-		rep.Trace = a.Traces()
+		rep.Trace = cfg.Trace.Merge(captures)
 	}
 	return rep, nil
 }

@@ -133,25 +133,28 @@ func TestSessionDoesNotAffectOutcomes(t *testing.T) {
 }
 
 // TestSessionSurvivesSizeChanges reuses one session across growing and
-// shrinking instance sizes: buffers must resize without leaking state.
+// shrinking instance sizes, for every model: buffers must resize without
+// leaking state, and every size must run, pooled and fresh.
 func TestSessionSurvivesSizeChanges(t *testing.T) {
-	m, err := engine.ByName("sched")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := engine.NewSession()
-	for i, n := range []int{2, 16, 4, 64, 1, 8} {
-		spec := specFor(n, i)
-		pooled, err := m.Run(spec, sess)
+	for _, name := range engine.Names() {
+		m, err := engine.ByName(name)
 		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+			t.Fatal(err)
 		}
-		fresh, err := m.Run(spec, nil)
-		if err != nil {
-			t.Fatalf("n=%d fresh: %v", n, err)
-		}
-		if pooled != fresh {
-			t.Fatalf("n=%d diverged: %+v vs %+v", n, pooled, fresh)
+		sess := engine.NewSession()
+		for i, n := range []int{2, 16, 4, 64, 1, 8, 3, 5, 17} {
+			spec := specFor(n, i)
+			pooled, err := m.Run(spec, sess)
+			fresh, ferr := m.Run(spec, nil)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", name, n, err)
+			}
+			if ferr != nil {
+				t.Fatalf("%s n=%d fresh: %v", name, n, ferr)
+			}
+			if pooled != fresh {
+				t.Fatalf("%s n=%d diverged: %+v vs %+v", name, n, pooled, fresh)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"math/rand"
 
+	"leanconsensus/internal/cacheline"
 	"leanconsensus/internal/core"
 	"leanconsensus/internal/hybrid"
 	"leanconsensus/internal/machine"
@@ -20,16 +21,19 @@ import (
 // never leaks state between runs: memory is zeroed, machines are
 // reinitialized, and RNG streams are re-derived from each run's seed, so
 // results are bit-identical with and without pooling.
+// A session and every buffer a sched run writes fill whole cache-line
+// blocks (internal/cacheline), so sibling workers' sessions never share
+// a line there.
 type Session struct {
 	mem      *register.SimMem
 	leans    []core.Lean
 	machines []machine.Machine
 	inputs   []int
 
-	src *xrand.Source
+	src xrand.Source
 	rng *rand.Rand
 
-	hadv   *hybrid.Random
+	hadv   hybrid.Random
 	hybrid hybrid.Runner
 
 	sched    *sched.Engine
@@ -38,6 +42,8 @@ type Session struct {
 	msgSim *msgnet.Sim
 
 	rec *trace.Recorder
+
+	_ [120]byte // to 8 cache-line blocks; TestPooledBlocks checks
 }
 
 // NewSession returns an empty session; buffers materialize on first use
@@ -66,11 +72,11 @@ func (s *Session) Mem(layout register.Layout, leanRounds int) *register.SimMem {
 func (s *Session) LeanMachines(layout register.Layout, inputs []int) []machine.Machine {
 	n := len(inputs)
 	if cap(s.leans) < n {
-		s.leans = make([]core.Lean, n)
+		s.leans = cacheline.Make[core.Lean](n)
 	}
 	s.leans = s.leans[:n]
 	if cap(s.machines) < n {
-		s.machines = make([]machine.Machine, n)
+		s.machines = cacheline.Make[machine.Machine](n)
 	}
 	s.machines = s.machines[:n]
 	for i, bit := range inputs {
@@ -84,7 +90,7 @@ func (s *Session) LeanMachines(layout register.Layout, inputs []int) []machine.M
 // contents are unspecified; callers overwrite every element.
 func (s *Session) Inputs(n int) []int {
 	if cap(s.inputs) < n {
-		s.inputs = make([]int, n)
+		s.inputs = cacheline.Make[int](n)
 	}
 	s.inputs = s.inputs[:n]
 	return s.inputs
@@ -94,11 +100,9 @@ func (s *Session) Inputs(n int) []int {
 // stream xrand.New(seed, id) would produce. The stream is valid until the
 // next RNG call; sequential uses within one run must not overlap.
 func (s *Session) RNG(seed, id uint64) *rand.Rand {
-	if s.src == nil {
-		s.src = xrand.NewSource(seed, id)
-		s.rng = rand.New(s.src)
-	} else {
-		s.src.Reset(seed, id)
+	s.src.Reset(seed, id)
+	if s.rng == nil {
+		s.rng = rand.New(&s.src)
 	}
 	return s.rng
 }
@@ -115,13 +119,8 @@ func (s *Session) Trace() *trace.Recorder { return s.rec }
 
 // hybridAdversary returns the pooled equivalent of hybrid.NewRandom(seed).
 func (s *Session) hybridAdversary(seed uint64) *hybrid.Random {
-	rng := s.RNG(seed, 0x68796272) // same stream id as hybrid.NewRandom
-	if s.hadv == nil {
-		s.hadv = &hybrid.Random{Rng: rng}
-	} else {
-		s.hadv.Rng = rng
-	}
-	return s.hadv
+	s.hadv.Rng = s.RNG(seed, 0x68796272) // same stream id as hybrid.NewRandom
+	return &s.hadv
 }
 
 // MsgSim returns the session's pooled message-passing simulator: nodes,

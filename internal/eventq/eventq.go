@@ -20,6 +20,8 @@ package eventq
 import (
 	"math"
 	"math/bits"
+
+	"leanconsensus/internal/cacheline"
 )
 
 // item is one pending event.
@@ -55,7 +57,7 @@ type Queue struct {
 // further allocation.
 func (q *Queue) Reset(capacity int) {
 	if cap(q.h) < capacity {
-		q.h = make([]item, 0, capacity)
+		q.h = cacheline.Make[item](capacity)[:0] // a pooled queue's slab
 		return
 	}
 	q.h = q.h[:0]

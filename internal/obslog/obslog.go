@@ -87,8 +87,9 @@ const (
 	// KindCampaignDone is a campaign reaching a terminal state: Detail
 	// is "ok" or the failure message.
 	KindCampaignDone
-	// KindArenaDrain is an arena Close completing its drain: Parent is
-	// the owning correlation ID, Count the proposals the arena served.
+	// KindArenaDrain is a unit's arena cells having drained (once per job
+	// spec, once per campaign run): Parent is the unit's correlation ID,
+	// Count the instances its cells ran.
 	KindArenaDrain
 	// KindServerRequest is one served HTTP request: Detail is
 	// "METHOD /path", Count the response status code.

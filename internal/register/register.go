@@ -14,6 +14,8 @@ package register
 import (
 	"fmt"
 	"sync/atomic"
+
+	"leanconsensus/internal/cacheline"
 )
 
 // ID identifies a single shared register.
@@ -35,6 +37,7 @@ type Mem interface {
 // semantics of the model.
 type SimMem struct {
 	cells []uint32
+	_     [104]byte // to a cache-line block (internal/cacheline), as pooled memory
 }
 
 // NewSimMem returns a SimMem with capacity pre-allocated for hint
@@ -43,7 +46,7 @@ func NewSimMem(hint int) *SimMem {
 	if hint < 0 {
 		hint = 0
 	}
-	return &SimMem{cells: make([]uint32, hint)}
+	return &SimMem{cells: cacheline.Make[uint32](hint)}
 }
 
 // Read implements Mem. Reading a register that has never been written
@@ -71,7 +74,7 @@ func (m *SimMem) grow(n int) {
 	if newCap < 16 {
 		newCap = 16
 	}
-	cells := make([]uint32, newCap)
+	cells := cacheline.Make[uint32](newCap)
 	copy(cells, m.cells)
 	m.cells = cells
 }

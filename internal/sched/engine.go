@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 
+	"leanconsensus/internal/cacheline"
 	"leanconsensus/internal/dist"
 	"leanconsensus/internal/eventq"
 	"leanconsensus/internal/machine"
@@ -141,7 +142,7 @@ func resize[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]T, n)
+	return cacheline.Make[T](n)
 }
 
 // Agreement reports whether all decided processes agree, and the common
@@ -191,11 +192,13 @@ type Engine struct {
 	cfg        Config
 	mem        register.Mem
 	procs      []procState
-	queue      eventq.Queue // one pending completion per live process, key = process
+	srcs       []xrand.Source // procs[i].src, one slab so the streams share lines only with each other
+	queue      eventq.Queue   // one pending completion per live process, key = process
 	adv        Adversary
 	wNoise     dist.Distribution
 	contention *contentionState
 	seq        int64
+	_          [88]byte // to 3 cache-line blocks (internal/cacheline), as a pooled engine
 }
 
 // Errors returned by the engine.
@@ -378,18 +381,18 @@ func (e *Engine) RunInto(res *Result) error {
 	if cap(e.procs) >= n {
 		e.procs = e.procs[:n]
 	} else {
-		e.procs = make([]procState, n)
+		e.procs = cacheline.Make[procState](n)
+		e.srcs = cacheline.Make[xrand.Source](cap(e.procs)) // every proc the slab can hold
 	}
 	e.queue.Reset(n)
 	for i := 0; i < n; i++ {
 		p := &e.procs[i]
 		// Preserve the src/rng allocation across runs; re-derive the stream.
 		if p.src == nil {
-			p.src = xrand.NewSource(e.cfg.Seed, 0x70726f63, uint64(i)) // per-process stream
+			p.src = &e.srcs[i]
 			p.rng = rand.New(p.src)
-		} else {
-			p.src.Reset(e.cfg.Seed, 0x70726f63, uint64(i))
 		}
+		p.src.Reset(e.cfg.Seed, 0x70726f63, uint64(i)) // per-process stream
 		*p = procState{src: p.src, rng: p.rng, m: e.cfg.Machines[i], decSeq: -1}
 		p.next = p.m.Begin()
 		start := e.adv.StartDelay(i)

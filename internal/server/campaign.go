@@ -141,8 +141,6 @@ func (cr *campaignRun) body(rec *stateRecord) {
 // returns cost nothing but a little granularity.
 func (cr *campaignRun) run(s *Server) error {
 	cfg := campaign.Config{
-		Shards:      s.cfg.Shards,
-		Workers:     s.cfg.Workers,
 		Metrics:     s.campMetrics,
 		AxisMetrics: s.campAxes,
 		Journal:     s.journal,
@@ -179,7 +177,7 @@ func (cr *campaignRun) run(s *Server) error {
 	// Without durable state, Close drains campaigns to completion
 	// (stopCtx is never cancelled); with it, Close cancels and the run
 	// stops at the next cell boundary.
-	rep, err := cr.camp.Run(s.stopCtx, cfg)
+	rep, err := cr.camp.RunOn(s.stopCtx, s.arena, cfg)
 	s.release(cr.tb, cr.camp.Instances-returned)
 	if err == nil {
 		cr.repMu.Lock()

@@ -21,9 +21,9 @@ import (
 // are atomics written from arena workers (by the cells' progress sink)
 // and read by status snapshots and the SSE stream without locks.
 type specRun struct {
-	spec   engine.JobSpec
-	job    engine.Job
-	traceK int // per-shard flight-recorder budget, 0 = off
+	spec engine.JobSpec
+	job  engine.Job
+	tc   *arena.TraceConfig // flight-recorder budget, nil = off
 
 	done     atomic.Int64
 	perShard []atomic.Int64
@@ -52,11 +52,15 @@ type job struct {
 // instance count is the size of its admission reservation.
 func newJob(batch *Batch, shards int) *job {
 	j := &job{specs: make([]*specRun, len(batch.Jobs))}
+	var tc *arena.TraceConfig
+	if batch.TraceK > 0 {
+		tc = &arena.TraceConfig{PerShard: batch.TraceK}
+	}
 	for i := range batch.Jobs {
 		j.specs[i] = &specRun{
 			spec:     batch.Specs[i],
 			job:      batch.Jobs[i],
-			traceK:   batch.TraceK,
+			tc:       tc,
 			perShard: make([]atomic.Int64, shards),
 		}
 		j.instances += int64(batch.Jobs[i].Instances)
@@ -160,8 +164,8 @@ func (j *job) body(rec *stateRecord) {
 	rec.Job = j.snapshot()
 }
 
-// run executes every spec of the job, in order, on its own arenas; each
-// finished instance returns its unit to the admission gate.
+// run executes every spec of the job, in order, on the server's arena;
+// each finished instance returns its unit to the admission gate.
 func (j *job) run(s *Server) error {
 	s.journal.Append(obslog.KindJobStart, j.id, j.corr, obslog.Labels{})
 	var failed error
@@ -173,42 +177,31 @@ func (j *job) run(s *Server) error {
 	return failed
 }
 
-// runSpec serves one spec on a fresh arena as the one-cell campaign with
-// the same model, dist, adversary, n, seed, and reps = instances: rep r
-// runs with seed campaign.InstanceSeed(seed, n, r) on the half-and-half
-// inputs. The reps are split into min(instances, shards×workers) cells
-// over contiguous ranges so every worker takes a share. The split
-// follows the pool shape, but the result cannot: every deterministic
-// SpecResult field is an integer sum or max over the reps, read from the
-// arena's shard stats once the cells drain.
+// runSpec serves one spec on the server's arena as the one-cell campaign
+// with the same model, dist, adversary, n, seed, and reps = instances:
+// rep r runs with seed campaign.InstanceSeed(seed, n, r) on the
+// half-and-half inputs. The reps are split into min(instances,
+// shards×workers) cells over contiguous ranges so every worker takes a
+// share. The split follows the pool shape, but the result cannot: every
+// deterministic SpecResult field is an integer sum or max over the reps,
+// folded from the cells' own counters, which like their metrics and
+// captures are the spec's alone.
 func (s *Server) runSpec(j *job, sr *specRun) error {
-	jb := sr.job
-	var tc *arena.TraceConfig
-	if sr.traceK > 0 {
-		tc = &arena.TraceConfig{PerShard: sr.traceK}
-	}
-	a, err := arena.New(arena.Config{
-		Trace:   tc,
-		Shards:  s.cfg.Shards,
-		Workers: s.cfg.Workers,
-		Metrics: arena.NewMetrics(s.reg, "model", jb.ModelName, "dist", jb.DistName, "adversary", jb.AdvName),
-		Journal: s.journal,
-		Owner:   j.id,
-	})
-	if err != nil {
-		s.release(j.tb, int64(jb.Instances))
-		return fmt.Errorf("server: job spec (model=%s): %v", jb.ModelName, err)
-	}
+	jb, tc := sr.job, sr.tc
+	m := arena.NewMetrics(s.reg, "model", jb.ModelName, "dist", jb.DistName, "adversary", jb.AdvName)
 
 	// Cell keys name trace captures ("<key>,rep=<rep>"), so they come from
 	// the spec and the rep range alone: identical jobs capture identically.
 	key := fmt.Sprintf("model=%s,dist=%s,adv=%s,n=%d,seed=%d", jb.ModelName, jb.DistName, jb.AdvName, jb.N, jb.Seed)
 	chunks := min(jb.Instances, s.cfg.Shards*s.cfg.Workers)
-	sink := progressSink{s: s, j: j, sr: sr}
+	// Cell c counts, in progress and trace budgets, for logical shard c
+	// mod Shards, wherever it runs.
+	captures := make([][]trace.Instance, s.cfg.Shards)
+	var st arena.ShardStats
 	start := time.Now()
 	// A started spec always runs to completion: Close drains jobs, it
 	// never cancels them.
-	err = a.RunCells(context.Background(), chunks, func(c int) arena.CellRequest {
+	err := s.arena.RunCells(context.Background(), chunks, func(c int) arena.CellRequest {
 		lo, hi := c*jb.Instances/chunks, (c+1)*jb.Instances/chunks
 		return arena.CellRequest{
 			Model:     jb.Model,
@@ -218,23 +211,24 @@ func (s *Server) runSpec(j *job, sr *specRun) error {
 			Adversary: jb.Adversary,
 			Reps:      hi - lo,
 			Seed:      func(rep int) uint64 { return campaign.InstanceSeed(jb.Seed, jb.N, lo+rep) },
-			Sink:      sink,
+			Sink:      progressSink{s: s, j: j, sr: sr, shard: c % s.cfg.Shards},
+			Metrics:   m,
+			Trace:     tc,
 		}
-	}, func(int, arena.CellResult) {})
+	}, func(c int, r arena.CellResult) {
+		st.Merge(r.Stats)
+		captures[c%s.cfg.Shards] = append(captures[c%s.cfg.Shards], r.Traces...)
+	})
 	elapsed := time.Since(start)
+	s.journal.Append(obslog.KindArenaDrain, "", j.id, obslog.Labels{Count: st.Proposals})
 	if err != nil {
 		// Unreachable while the server owns the arena: RunCells has
 		// drained every submitted cell, so return the never-run
 		// remainder's reservation and surface the fault.
 		s.release(j.tb, int64(jb.Instances)-sr.done.Load())
-		a.Close()
 		return fmt.Errorf("server: submit failed mid-job: %v", err)
 	}
-	if err := a.Close(); err != nil {
-		return err
-	}
 
-	st := a.Stats().Totals
 	res := SpecResult{
 		Model:     jb.ModelName,
 		Variant:   jb.VariantName,
@@ -259,30 +253,31 @@ func (s *Server) runSpec(j *job, sr *specRun) error {
 	sr.mu.Lock()
 	sr.result = &res
 	if tc != nil {
-		sr.traces = a.Traces()
+		sr.traces = tc.Merge(captures)
 	}
 	sr.mu.Unlock()
 	return nil
 }
 
 // progressSink publishes a job spec's progress from the serving worker,
-// once per rep: the spec's done count, its per-shard count, and the
-// rep's admission unit. The deterministic counters need no fold here —
-// the arena's shard stats already keep them.
+// once per rep: the spec's done count, the count of the cell's logical
+// shard, and the rep's admission unit. The deterministic counters need
+// no fold here — the cell's own counters already keep them.
 type progressSink struct {
-	s  *Server
-	j  *job
-	sr *specRun
+	s     *Server
+	j     *job
+	sr    *specRun
+	shard int
 }
 
-func (p progressSink) Add(_ int, r arena.Result) {
-	p.sr.perShard[r.Shard].Add(1)
+func (p progressSink) Add(int, arena.Result) {
+	p.sr.perShard[p.shard].Add(1)
 	p.sr.done.Add(1)
 	p.s.complete(p.j.tb, 1)
 }
 
 // traceSnapshot assembles the GET /v1/jobs/{id}/trace body. Captures are
-// stored once per spec when its arena closes; an unfinished spec simply
+// stored once per spec when its cells drain; an unfinished spec simply
 // contributes an empty block.
 func (j *job) traceSnapshot() JobTrace {
 	jt := JobTrace{

@@ -9,21 +9,22 @@
 // runs. Both kinds are admitted units in one table with one lifecycle —
 // one submit handler, one runner (an execution slot, then the run), one
 // terminal save, one eviction — and differ only in a small per-kind part
-// (unit.go): a job runs its specs as arena cells, a campaign its grid.
+// (unit.go): a job runs its specs as arena cells, a campaign its grid,
+// both on the server's one arena.
 // Clients poll GET /v1/{jobs,campaigns}/{id}, or subscribe to
 // GET /v1/{jobs,campaigns}/{id}/stream for progress as server-sent
 // events. GET /v1/models lists everything the registries know, /healthz
 // reports liveness, and /metrics exposes the internal/metrics registry
 // in Prometheus text format.
 //
-// Backpressure is explicit and two-layered. Inside a unit, work runs as
-// at most one cell per arena worker, so in-flight work is bounded by the
-// pool. Across units, the server tracks admitted-but-unfinished
-// instances and sheds load once that queue depth crosses the configured
-// high-water mark: the POST is rejected with 429 and a Retry-After
-// estimate instead of being buffered without bound. Shutdown is a
-// drain, not a drop: Close stops admissions and waits for every running
-// unit, which in turn waits on each arena's graceful Close.
+// Backpressure is explicit and two-layered. Inside a unit, a bounded
+// window of cells is in flight, and the arena has one Shards × Workers
+// pool per execution slot. Across units, the server tracks
+// admitted-but-unfinished instances and sheds load once that queue
+// depth crosses the configured high-water mark: the POST is rejected
+// with 429 and a Retry-After estimate instead of being buffered without
+// bound. Shutdown is a drain, not a drop: Close stops admissions, waits
+// for every running unit, and then closes the arena.
 package server
 
 import (
@@ -76,8 +77,9 @@ const (
 
 // Config describes a server.
 type Config struct {
-	// Shards and Workers set the arena pool shape used for every job
-	// (defaults arena.DefaultShards / arena.DefaultWorkers).
+	// Shards and Workers set the pool each executing job or campaign
+	// gets (defaults arena.DefaultShards / arena.DefaultWorkers); the
+	// server's one arena has Shards × Workers × MaxConcurrentJobs workers.
 	Shards, Workers int
 	// HighWater is the queued-instance count past which POST /v1/jobs is
 	// rejected with 429 (default DefaultHighWater). A batch that arrives at
@@ -92,7 +94,7 @@ type Config struct {
 	// MaxJobsKept bounds the jobs in the table, and separately the
 	// campaigns (default DefaultMaxJobsKept).
 	MaxJobsKept int
-	// Registry receives the server's and every job arena's telemetry; New
+	// Registry receives the server's and every job spec's telemetry; New
 	// creates one when nil. Expose it at /metrics or share it across
 	// subsystems.
 	Registry *metrics.Registry
@@ -157,6 +159,8 @@ type Server struct {
 	wg     sync.WaitGroup // running jobs and campaigns
 	sem    chan struct{}  // bounds concurrently executing jobs/campaigns
 	queued atomic.Int64   // instances admitted but not yet finished
+
+	arena *arena.Arena // every unit's cells run here; closed after the last unit
 
 	admitMu      sync.Mutex // serializes the admission decision (reserve)
 	tenantMu     sync.Mutex
@@ -231,7 +235,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
 	}
+	pool, err := arena.New(arena.Config{Shards: cfg.Shards, Workers: cfg.Workers * cfg.MaxConcurrentJobs})
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
+		arena:   pool,
 		cfg:     cfg,
 		reg:     cfg.Registry,
 		units:   make(map[string]*unit),
@@ -265,8 +274,8 @@ func New(cfg Config) (*Server, error) {
 	var rerun []*unit
 	var torn int64
 	if cfg.StateDir != "" {
-		var err error
 		if rerun, torn, err = s.armState(); err != nil {
+			pool.Close()
 			return nil, err
 		}
 	}
@@ -282,6 +291,7 @@ func New(cfg Config) (*Server, error) {
 			if s.state != nil {
 				s.state.close() //nolint:errcheck // boot already failed
 			}
+			pool.Close()
 			return nil, err
 		}
 	}
@@ -441,6 +451,7 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	s.stopFn()
+	s.arena.Close()
 	var err error
 	if s.state != nil {
 		err = s.state.close()
