@@ -49,6 +49,34 @@ func TestEngineGolden(t *testing.T) {
 	}
 }
 
+// wideGoldenSHA256 is the digest of the wide sched battery below, under
+// the same rule as goldenSHA256.
+const wideGoldenSHA256 = "01db9e9e951374d15d4da5ab043631b6d8637f6432e322ae78df92ff6ff7e1f9"
+
+// TestSchedWideGolden hashes raw sched.Engine runs at sizes goldenNs never
+// reaches: between 17 and 63, and above 64, where a queue over a
+// power-of-two number of slots is partly empty and more than six levels
+// deep. It covers continuous and two-point noise with dithering, a
+// lockstep queue where every completion ties and only the process index
+// orders them, staggered starts with dithering off, an adaptive
+// adversary, and failures that retire processes mid-run; every run is
+// traced and keeps a history.
+func TestSchedWideGolden(t *testing.T) {
+	d := &digest{h: sha256.New()}
+	ns := []int{17, 33, 65, 100, 129, 257}
+	goldenSchedCases(t, d, "wide-sched|", []rawSchedCase{
+		{name: "exponential", noise: dist.Exponential{MeanVal: 1}, ns: ns, withTrace: true},
+		{name: "two-point", noise: dist.TwoPoint{A: 1, B: 2}, ns: ns, withTrace: true},
+		{name: "ties", noise: dist.Constant{V: 1}, dither: -1, maxOps: 24, ns: ns, withTrace: true},
+		{name: "stagger", noise: dist.TwoPoint{A: 1, B: 2}, adv: sched.Stagger{Gap: 1}, dither: -1, maxOps: 1 << 12, ns: ns, withTrace: true},
+		{name: "antileader", noise: dist.Exponential{MeanVal: 1}, adv: sched.AntiLeader{M: 1}, ns: ns, withTrace: true},
+		{name: "failures", noise: dist.Exponential{MeanVal: 1}, failure: 0.02, ns: ns, withTrace: true},
+	})
+	if got := d.sum(); got != wideGoldenSHA256 {
+		t.Fatalf("wide sched output digest %s, want %s: sched output changed", got, wideGoldenSHA256)
+	}
+}
+
 // msgnetGoldenSHA256 is the digest of the msgnet battery below. It pins
 // the message-passing engine's output — results, traces, errors and the
 // network's delivery counts — across commits, under the same rule as
@@ -300,29 +328,13 @@ func goldenSessions(t *testing.T, d *digest) {
 // engine layer never arms: random failures, contention, an adaptive
 // crasher, a history, and a lockstep queue where every completion ties.
 func goldenRawSched(t *testing.T, d *digest) {
-	eng := &sched.Engine{}
-	res := &sched.Result{}
-	rec := trace.NewRecorder(1 << 14)
-	hist := &register.History{}
 	// The crasher kills the current leader on every fifth operation
 	// index, so it both reads the view and strikes mid-run.
 	crasher := func(i int, j int64, v sched.View) bool {
 		leader, _ := v.Leader()
 		return j%5 == 0 && leader == i && v.Round(i) >= 1 && !v.Decided(i)
 	}
-	type rawCase struct {
-		name      string
-		noise     dist.Distribution
-		adv       sched.Adversary
-		failure   float64
-		cont      *sched.Contention
-		crasher   func(int, int64, sched.View) bool
-		dither    float64
-		maxOps    int64
-		ns        []int
-		withTrace bool
-	}
-	cases := []rawCase{
+	goldenSchedCases(t, d, "raw-sched|", []rawSchedCase{
 		{name: "failures", noise: dist.Exponential{MeanVal: 1}, failure: 0.02, ns: []int{1, 3, 8, 16, 64}},
 		{name: "contention", noise: dist.Uniform{Lo: 0, Hi: 2}, cont: &sched.Contention{HalfLife: 1, Penalty: 0.5}, ns: []int{2, 5, 16, 64}},
 		{name: "crasher", noise: dist.Exponential{MeanVal: 1}, crasher: crasher, ns: []int{3, 8, 16, 64}, withTrace: true},
@@ -330,7 +342,31 @@ func goldenRawSched(t *testing.T, d *digest) {
 			cont: &sched.Contention{HalfLife: 2, Penalty: 0.25}, crasher: crasher, ns: []int{3, 8, 16}, withTrace: true},
 		{name: "ties", noise: dist.Constant{V: 1}, dither: -1, maxOps: 64, ns: []int{1, 2, 5, 16}, withTrace: true},
 		{name: "ties-stagger", noise: dist.Constant{V: 1}, adv: sched.Stagger{Gap: 1}, dither: -1, maxOps: 64, ns: []int{3, 16}, withTrace: true},
-	}
+	})
+}
+
+// rawSchedCase is one sched.Config family run at each of its sizes.
+type rawSchedCase struct {
+	name      string
+	noise     dist.Distribution
+	adv       sched.Adversary
+	failure   float64
+	cont      *sched.Contention
+	crasher   func(int, int64, sched.View) bool
+	dither    float64
+	maxOps    int64
+	ns        []int
+	withTrace bool
+}
+
+// goldenSchedCases runs every case four times per size on one reused
+// sched.Engine and hashes the results, histories and, where the case
+// asks for it, traces.
+func goldenSchedCases(t *testing.T, d *digest, prefix string, cases []rawSchedCase) {
+	eng := &sched.Engine{}
+	res := &sched.Result{}
+	rec := trace.NewRecorder(1 << 14)
+	hist := &register.History{}
 	for _, c := range cases {
 		for _, n := range c.ns {
 			for rep := 0; rep < 4; rep++ {
@@ -350,7 +386,7 @@ func goldenRawSched(t *testing.T, d *digest) {
 					t.Fatal(err)
 				}
 				err := eng.RunInto(res)
-				d.str("raw-sched|" + c.name)
+				d.str(prefix + c.name)
 				d.i64(int64(n))
 				d.err(err)
 				d.schedResult(res)
