@@ -1,20 +1,23 @@
-// Package eventq is the event queue of the discrete-event simulators: a
-// binary min-heap of pending events, ordered by time and then by a key.
-// In the noisy-scheduling model every process is a delayed renewal
-// process, and a run merges them by taking the earliest pending event
-// over and over; sched files one event per live process (key = process),
-// msgnet one per message in flight (key = send sequence).
+// Package eventq orders the pending events of the discrete-event
+// simulators by time and then by a key. In the noisy-scheduling model
+// every process is a delayed renewal process, and a run merges them by
+// taking the earliest pending event over and over. sched keeps one event
+// per live process (key = process) in a Tree, a tournament tree of losers
+// where only the earliest event is ever replaced or removed; msgnet keeps
+// one per message in flight (key = send sequence) in a Queue, a binary
+// min-heap.
 //
 // An item is 16 bytes: the order-preserving unsigned image of its time
 // and key<<32 | ref, where ref is the caller's handle (msgnet's slot in
 // its message slab). Comparing two items is then one 128-bit
 // subtraction, two bits.Sub64 calls whose final borrow is the answer, so
-// the sift-down picks the smaller child without a branch the CPU would
-// have to predict. The order equals the float order of times with ties
-// broken by the smaller key: −0 and +0 are the same time. Keys must be
-// unique among queued items, which makes the order strict and total, so
-// the sequence of minima does not depend on how the heap is arranged.
-// Times must not be NaN.
+// the heap's sift-down picks the smaller child, and the tree's replay the
+// winner of a match, without a branch the CPU would have to predict. The
+// order equals the float order of times with ties broken by the smaller
+// key: −0 and +0 are the same time. Keys must be unique among pending
+// items, which makes the order strict and total, so the sequence of
+// minima depends on neither the structure nor its arrangement. Times must
+// not be NaN.
 package eventq
 
 import (

@@ -11,7 +11,8 @@
 // independently with probability h(n) (Section 3.1.2). The engine executes
 // operations in global time order against a shared memory, which realizes
 // the interleaving semantics of the model; start times are dithered as in
-// the paper's simulations so that ties occur with probability zero.
+// the paper's simulations, so that under continuous noise ties occur with
+// probability zero and under discrete noise the dither orders every tie.
 package sched
 
 import (
@@ -47,13 +48,15 @@ type Adversary interface {
 	// StepDelay returns Δ_ij for process i's j-th operation (j >= 1). The
 	// value must lie in [0, Bound()].
 	StepDelay(i int, j int64, v View) float64
-	// Bound reports M, the upper bound on step delays.
+	// Bound reports M, the upper bound on step delays. It must not change
+	// during a run: the engine reads it once, when the run is armed.
 	Bound() float64
 }
 
 // Zero is the adversary that inserts no delays at all: the schedule is
 // pure noise. This is the configuration of the paper's Figure 1
-// simulations.
+// simulations. The engine treats it as a nil Config.Adversary and calls
+// none of its methods.
 type Zero struct{}
 
 // StartDelay implements Adversary.

@@ -1,6 +1,8 @@
 package sched_test
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"leanconsensus/internal/core"
@@ -8,6 +10,7 @@ import (
 	"leanconsensus/internal/machine"
 	"leanconsensus/internal/register"
 	"leanconsensus/internal/sched"
+	"leanconsensus/internal/trace"
 )
 
 func TestAdversaryBounds(t *testing.T) {
@@ -119,3 +122,110 @@ func (p *viewProbe) StepDelay(_ int, _ int64, v sched.View) float64 {
 }
 
 func (p *viewProbe) Bound() float64 { return 0 }
+
+// TestZeroScheduleNilAndZeroAgree checks that a nil adversary and Zero{}
+// give the same result, history and trace; the engine makes no adversary
+// call for either.
+func TestZeroScheduleNilAndZeroAgree(t *testing.T) {
+	type outcome struct {
+		res   *sched.Result
+		hist  []register.Event
+		trace []trace.Event
+	}
+	do := func(adv sched.Adversary, noise dist.Distribution, n int, seed uint64) outcome {
+		inputs := make([]int, n)
+		for i := range inputs {
+			inputs[i] = int(seed>>i) & 1
+		}
+		ms, mem := leanSetup(inputs)
+		hist := &register.History{}
+		rec := trace.NewRecorder(1 << 12)
+		res := run(t, sched.Config{
+			N: n, Machines: ms, Mem: mem, ReadNoise: noise, Adversary: adv,
+			FailureProb: 0.01, Seed: seed, History: hist, Trace: rec,
+		})
+		return outcome{res, hist.Events, rec.Events()}
+	}
+	for _, noise := range []dist.Distribution{dist.Exponential{MeanVal: 1}, dist.TwoPoint{A: 1, B: 2}} {
+		for _, n := range []int{1, 3, 8, 17} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				if a, b := do(nil, noise, n, seed), do(sched.Zero{}, noise, n, seed); !reflect.DeepEqual(a, b) {
+					t.Fatalf("%v n=%d seed %d: nil adversary and Zero{} differ", noise, n, seed)
+				}
+			}
+		}
+	}
+}
+
+// countingProbe is an adaptive adversary with bound 0 that counts the
+// steps it is consulted on.
+type countingProbe struct{ calls int64 }
+
+func (p *countingProbe) StartDelay(int) float64 { return 0 }
+
+func (p *countingProbe) StepDelay(_ int, _ int64, v sched.View) float64 {
+	if v != nil {
+		p.calls++
+	}
+	return 0
+}
+
+func (p *countingProbe) Bound() float64 { return 0 }
+
+// TestZeroBoundAdversaryConsultedEveryStep checks that an adversary whose
+// Bound is 0 still sees the view before every operation: with no failures
+// and every process deciding, each executed operation was scheduled by
+// exactly one StepDelay call.
+func TestZeroBoundAdversaryConsultedEveryStep(t *testing.T) {
+	for _, n := range []int{1, 4, 9} {
+		inputs := make([]int, n)
+		for i := range inputs {
+			inputs[i] = i % 2
+		}
+		ms, mem := leanSetup(inputs)
+		probe := &countingProbe{}
+		res := run(t, sched.Config{
+			N: n, Machines: ms, Mem: mem, ReadNoise: dist.Exponential{MeanVal: 1},
+			Adversary: probe, Seed: uint64(n),
+		})
+		if probe.calls != res.TotalOps {
+			t.Errorf("n=%d: adversary consulted %d times for %d operations", n, probe.calls, res.TotalOps)
+		}
+	}
+}
+
+// badDelay is an adversary whose step delays fall outside its bound.
+type badDelay struct{ d, bound float64 }
+
+func (a badDelay) StartDelay(int) float64                   { return 0 }
+func (a badDelay) StepDelay(int, int64, sched.View) float64 { return a.d }
+func (a badDelay) Bound() float64                           { return a.bound }
+
+// TestOutOfRangeDelayPanics checks that a step delay outside [0, Bound()]
+// stops the run with the engine's panic message.
+func TestOutOfRangeDelayPanics(t *testing.T) {
+	for _, tc := range []struct {
+		adv  badDelay
+		want string
+	}{
+		{badDelay{d: 2, bound: 1}, "sched: adversary delay 2 outside [0, 1]"},
+		{badDelay{d: -0.5, bound: 1}, "sched: adversary delay -0.5 outside [0, 1]"},
+		{badDelay{d: math.NaN(), bound: 0}, "sched: adversary delay NaN outside [0, 0]"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("delay %v, bound %v: recovered %v, want %q", tc.adv.d, tc.adv.bound, got, tc.want)
+				}
+			}()
+			ms, mem := leanSetup([]int{0, 1})
+			eng, err := sched.NewEngine(sched.Config{
+				N: 2, Machines: ms, Mem: mem, ReadNoise: dist.Exponential{MeanVal: 1}, Adversary: tc.adv, Seed: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
+		}()
+	}
+}

@@ -43,6 +43,7 @@ type Config struct {
 	// type). WriteNoise defaults to ReadNoise. ReadNoise is required.
 	ReadNoise, WriteNoise dist.Distribution
 	// Adversary supplies Δ_i0 and Δ_ij; nil means the Zero adversary.
+	// A run with nil or Zero{} makes no adversary call at all.
 	Adversary Adversary
 	// FailureProb is h(n), the probability that any given operation kills
 	// its process (Section 3.1.2).
@@ -193,12 +194,13 @@ type Engine struct {
 	mem        register.Mem
 	procs      []procState
 	srcs       []xrand.Source // procs[i].src, one slab so the streams share lines only with each other
-	queue      eventq.Queue   // one pending completion per live process, key = process
-	adv        Adversary
+	queue      eventq.Tree    // one pending completion per live process, key = process
+	adv        Adversary      // nil for the zero schedule
+	bound      float64        // adv.Bound(), read once per run
 	wNoise     dist.Distribution
 	contention *contentionState
 	seq        int64
-	_          [88]byte // to 3 cache-line blocks (internal/cacheline), as a pooled engine
+	_          [80]byte // to 3 cache-line blocks (internal/cacheline), as a pooled engine
 }
 
 // Errors returned by the engine.
@@ -238,7 +240,12 @@ func (e *Engine) Reset(cfg Config) error {
 	}
 	e.cfg = cfg
 	e.mem = cfg.Mem
-	e.adv = cfg.Adversary
+	switch adv := cfg.Adversary.(type) {
+	case nil, Zero:
+		e.adv = nil // the zero schedule makes no adversary call
+	default:
+		e.adv, e.bound = adv, adv.Bound()
+	}
 	e.wNoise = cfg.WriteNoise
 	e.seq = 0
 	e.contention = nil
@@ -246,9 +253,6 @@ func (e *Engine) Reset(cfg Config) error {
 		// Size the fallback memory from the plain lean layout rather than a
 		// magic constant; SimMem grows on demand regardless.
 		e.mem = register.NewSimMem(register.Layout{}.Registers(register.DefaultLeanRounds))
-	}
-	if e.adv == nil {
-		e.adv = Zero{}
 	}
 	if e.wNoise == nil {
 		e.wNoise = cfg.ReadNoise
@@ -322,9 +326,12 @@ func (e *Engine) advance(i int) (bool, error) {
 		e.traceHalt(p, i)
 		return false, nil
 	}
-	d := e.adv.StepDelay(i, p.j, (*engineView)(e))
-	if !validDelay(d, e.adv.Bound()) {
-		panic(fmt.Sprintf("sched: adversary delay %v outside [0, %v]", d, e.adv.Bound()))
+	var d float64
+	if e.adv != nil {
+		d = e.adv.StepDelay(i, p.j, (*engineView)(e))
+		if !validDelay(d, e.bound) {
+			panic(fmt.Sprintf("sched: adversary delay %v outside [0, %v]", d, e.bound))
+		}
 	}
 	if e.contention != nil {
 		d += e.contention.penalty(int(p.next.Reg), p.time)
@@ -395,7 +402,10 @@ func (e *Engine) RunInto(res *Result) error {
 		p.src.Reset(e.cfg.Seed, 0x70726f63, uint64(i)) // per-process stream
 		*p = procState{src: p.src, rng: p.rng, m: e.cfg.Machines[i], decSeq: -1}
 		p.next = p.m.Begin()
-		start := e.adv.StartDelay(i)
+		var start float64
+		if e.adv != nil {
+			start = e.adv.StartDelay(i)
+		}
 		if start < 0 {
 			return fmt.Errorf("%w: negative start delay for process %d", errBadConfig, i)
 		}
@@ -414,9 +424,10 @@ func (e *Engine) RunInto(res *Result) error {
 			return err
 		}
 		if ok {
-			e.queue.Push(p.time, uint32(i), 0)
+			e.queue.Set(uint32(i), p.time)
 		}
 	}
+	e.queue.Build()
 
 	res.reset(n)
 
@@ -428,17 +439,18 @@ func (e *Engine) RunInto(res *Result) error {
 	}
 
 	// Each step executes the earliest pending completion in place: the
-	// root stays in the queue until the step settles whether the process
-	// goes on (FixTop files its next completion with one sift) or leaves
-	// (Pop). Nothing in between reads the queue — the crasher, the
-	// adversary and the trace's leader view read only procs. The queue
+	// winner stays in the tree until the step settles whether the process
+	// goes on (FixTop files its next completion with one replay) or leaves
+	// (Pop). Nothing in between reads the tree — the crasher, the
+	// adversary and the trace's leader view read only procs. The tree
 	// orders by (time, process), strict and total because every live
-	// process has exactly one pending completion; with dithered starts
-	// time ties occur with probability zero, so the tie-break only pins
-	// down determinism. The completion's time is the process's own.
-	for live > 0 && e.queue.Len() > 0 {
-		key, _ := e.queue.Top()
-		i := int(key)
+	// process has exactly one pending completion, and holds exactly the
+	// live processes. With dithered starts and continuous noise time ties
+	// occur with probability zero; under discrete noise the dither orders
+	// them, and the process index decides only with dithering off. The
+	// completion's time is the process's own.
+	for live > 0 {
+		i := int(e.queue.Top())
 		p := &e.procs[i]
 		now := p.time
 		op := p.next
@@ -523,7 +535,7 @@ func (e *Engine) RunInto(res *Result) error {
 			case err != nil:
 				return err
 			case ok:
-				e.queue.FixTop(p.time, uint32(i), 0)
+				e.queue.FixTop(p.time)
 			default:
 				e.queue.Pop()
 				live--
