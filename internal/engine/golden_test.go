@@ -413,6 +413,63 @@ func goldenSchedCases(t *testing.T, d *digest, prefix string, cases []rawSchedCa
 // a quantum too small to terminate.
 func goldenRawHybrid(d *digest) {
 	rec := trace.NewRecorder(1 << 14)
+	goldenHybridCases(d, rec, "raw-hybrid|", goldenNs, []hybridPriorities{priNil, priEqual, priMod3, priOneTop})
+	// A quantum below Theorem 14's 8 lets round-robin livelock the race;
+	// the step cap turns that into an error whose text is pinned too.
+	for _, n := range []int{2, 3, 5} {
+		goldenHybridRun(d, rec, "raw-hybrid|small-quantum", hybrid.Config{
+			N: n, Quantum: 2, Adversary: &hybrid.RoundRobin{}, MaxSteps: 2000,
+		}, uint64(n))
+	}
+}
+
+// hybridWideGoldenSHA256 is the digest of the wide hybrid battery below,
+// under the same rule as goldenSHA256.
+const hybridWideGoldenSHA256 = "22c2eecfaf0fd8b15b3672599f435871f07b942861c862f744587051d6a6a024"
+
+// TestHybridWideGolden hashes raw hybrid.Run runs at sizes goldenNs never
+// reaches: between 17 and 63, and above 64, where many processes stay
+// live across hundreds of quantum boundaries. It covers every built-in
+// adversary and the view recorder, all-equal, mixed and one-top
+// priorities, quanta 8 and 12, and runs with and without a partial first
+// quantum; every run is traced.
+func TestHybridWideGolden(t *testing.T) {
+	d := &digest{h: sha256.New()}
+	rec := trace.NewRecorder(1 << 14)
+	goldenHybridCases(d, rec, "wide-hybrid|", []int{17, 33, 65, 100, 129, 257}, []hybridPriorities{priNil, priMod3, priOneTop})
+	if got := d.sum(); got != hybridWideGoldenSHA256 {
+		t.Fatalf("wide hybrid output digest %s, want %s: hybrid output changed", got, hybridWideGoldenSHA256)
+	}
+}
+
+// hybridPriorities names one way to assign priorities to n processes.
+type hybridPriorities struct {
+	name string
+	mk   func(n int) []int
+}
+
+var (
+	priNil   = hybridPriorities{"nil", func(int) []int { return nil }}
+	priEqual = hybridPriorities{"equal", func(n int) []int { return make([]int, n) }}
+	priMod3  = hybridPriorities{"mod3", func(n int) []int {
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i % 3
+		}
+		return p
+	}}
+	priOneTop = hybridPriorities{"one-top", func(n int) []int {
+		p := make([]int, n)
+		p[n-1] = 5
+		return p
+	}}
+)
+
+// goldenHybridCases runs every built-in adversary and a view recorder
+// under each priority assignment at each size, with quanta 8 and 12,
+// each with and without a partial first quantum, and hashes the traced
+// outcomes.
+func goldenHybridCases(d *digest, rec *trace.Recorder, prefix string, ns []int, pris []hybridPriorities) {
 	advs := []struct {
 		name string
 		mk   func(seed uint64) hybrid.Adversary
@@ -423,28 +480,9 @@ func goldenRawHybrid(d *digest) {
 		{"laggard", func(uint64) hybrid.Adversary { return hybrid.Laggard{} }},
 		{"view", func(uint64) hybrid.Adversary { return &viewDigest{d: d} }},
 	}
-	pris := []struct {
-		name string
-		mk   func(n int) []int
-	}{
-		{"nil", func(int) []int { return nil }},
-		{"equal", func(n int) []int { return make([]int, n) }},
-		{"mod3", func(n int) []int {
-			p := make([]int, n)
-			for i := range p {
-				p[i] = i % 3
-			}
-			return p
-		}},
-		{"one-top", func(n int) []int {
-			p := make([]int, n)
-			p[n-1] = 5
-			return p
-		}},
-	}
 	for _, adv := range advs {
 		for _, pri := range pris {
-			for _, n := range goldenNs {
+			for _, n := range ns {
 				for _, quantum := range []int{8, 12} {
 					for rep := 0; rep < 2; rep++ {
 						seed := uint64(n)*104729 + uint64(quantum)*31 + uint64(rep)
@@ -453,7 +491,7 @@ func goldenRawHybrid(d *digest) {
 							used = make([]int, n)
 							used[int(seed%uint64(n))] = 1 + int(seed%uint64(quantum))
 						}
-						goldenHybridRun(d, rec, "raw-hybrid|"+adv.name+"|"+pri.name, hybrid.Config{
+						goldenHybridRun(d, rec, prefix+adv.name+"|"+pri.name, hybrid.Config{
 							N: n, Priorities: pri.mk(n), Quantum: quantum, InitialUsed: used,
 							Adversary: adv.mk(seed),
 						}, seed)
@@ -461,13 +499,6 @@ func goldenRawHybrid(d *digest) {
 				}
 			}
 		}
-	}
-	// A quantum below Theorem 14's 8 lets round-robin livelock the race;
-	// the step cap turns that into an error whose text is pinned too.
-	for _, n := range []int{2, 3, 5} {
-		goldenHybridRun(d, rec, "raw-hybrid|small-quantum", hybrid.Config{
-			N: n, Quantum: 2, Adversary: &hybrid.RoundRobin{}, MaxSteps: 2000,
-		}, uint64(n))
 	}
 }
 
