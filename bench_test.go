@@ -114,19 +114,29 @@ func BenchmarkSimulateBounded(b *testing.B) {
 	}
 }
 
-// BenchmarkHybridRun measures hybrid-scheduled executions.
+// BenchmarkHybridRun measures hybrid-scheduled executions under the
+// default randomized scheduler from n=8 up to the wire's largest n, so
+// one run shows how an instance's cost grows with n: Theorem 14 bounds
+// every process to 12 operations, so linear growth is the target.
 func BenchmarkHybridRun(b *testing.B) {
-	inputs := []int{0, 1, 0, 1, 0, 1, 0, 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := leanconsensus.SimulateHybrid(leanconsensus.HybridConfig{
-			Inputs:    inputs,
-			Quantum:   8,
-			Randomize: true,
-			Seed:      uint64(i),
-		}); err != nil {
-			b.Fatal(err)
+	for _, n := range []int{8, 64, 1024, 4096} {
+		inputs := make([]int, n)
+		for i := range inputs {
+			inputs[i] = i % 2
 		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := leanconsensus.SimulateHybrid(leanconsensus.HybridConfig{
+					Inputs:    inputs,
+					Quantum:   8,
+					Randomize: true,
+					Seed:      uint64(i),
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -43,7 +43,7 @@ type Session struct {
 
 	rec *trace.Recorder
 
-	_ [120]byte // to 8 cache-line blocks; TestPooledBlocks checks
+	_ [88]byte // to 8 cache-line blocks; TestPooledBlocks checks
 }
 
 // NewSession returns an empty session; buffers materialize on first use

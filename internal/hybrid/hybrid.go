@@ -15,6 +15,15 @@
 // The engine here enforces the scheduling constraints and lets an
 // Adversary choose everything else; internal/modelcheck additionally
 // explores all adversary choices exhaustively for small configurations.
+//
+// Theorem 14 also makes a run Θ(n) operations, and Runner keeps it that
+// cheap for the default randomized legal scheduler (Random) under equal
+// priorities: mid-quantum the running process is the only choice, and
+// at a quantum boundary or a decision every live process may run, so the
+// runner draws Random's choice from an O(log n) index of the live
+// processes without scanning them or copying a View. Every other
+// adversary, and any choice some live process may not take, still gets
+// a scan and a snapshot View.
 package hybrid
 
 import (
@@ -72,8 +81,11 @@ type Result struct {
 	Steps int64
 }
 
-// View exposes scheduler state to adversaries. Its slices are snapshots
-// owned by the scheduler and valid only for the duration of Choose:
+// View exposes scheduler state to adversaries. The runner builds one for
+// every choice among several processes, except a *Random adversary's
+// choice among all live processes, which it draws without one. Its
+// slices are snapshots owned by the scheduler and valid only for the
+// duration of Choose:
 // adversaries must treat them as read-only and must not retain them
 // across calls. The scheduler never reads them back, so a misbehaving
 // adversary can only corrupt its own view, not the execution.
@@ -123,7 +135,10 @@ func (a *RoundRobin) Choose(v *View) int {
 	return a.last
 }
 
-// Random picks uniformly among eligible processes.
+// Random picks uniformly among eligible processes. When every live
+// process is eligible, Runner makes Random's draw itself — Rng.Intn over
+// the live count, taken as a rank in ascending process order, exactly
+// what Choose would pick from that View — without calling Choose.
 type Random struct {
 	Rng *rand.Rand
 }
@@ -180,8 +195,11 @@ func Run(cfg Config) (*Result, error) { return new(Runner).Run(cfg) }
 
 // Runner executes hybrid-scheduled runs one after another, reusing the
 // scheduler state, the result and the adversary's view buffers, so a
-// warm runner allocates nothing per run. The zero Runner is ready to use;
-// it is not safe for concurrent use.
+// warm runner allocates nothing per run. A *Random adversary choosing
+// among all live processes is served from the state's live index with no
+// View (see Random), so under equal priorities it costs O(log n) a
+// quantum boundary or decision rather than O(n). The zero Runner is
+// ready to use; it is not safe for concurrent use.
 type Runner struct {
 	st       State
 	res      Result
@@ -271,18 +289,23 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 	r.viewOps = resize(r.viewOps, n)
 	r.viewDecided = resize(r.viewDecided, n)
 	r.viewPri = resize(r.viewPri, n)
+	rnd, _ := adv.(*Random)
 	for st.live > 0 {
 		if res.Steps >= maxSteps {
 			return nil, fmt.Errorf("hybrid: no termination within %d steps", maxSteps)
 		}
-		r.eligible = st.EligibleInto(r.eligible)
-		eligible := r.eligible
-		choice := eligible[0]
-		if len(eligible) > 1 {
+		var choice int
+		if rnd != nil && st.live > 1 && st.open() {
+			// Every live process is eligible, so Random's draw from the
+			// ascending eligible list is a draw by rank among the live.
+			choice = st.nthLive(rnd.Rng.Intn(st.live))
+		} else if r.eligible = st.EligibleInto(r.eligible); len(r.eligible) == 1 {
+			choice = r.eligible[0]
+		} else {
 			copy(r.viewOps, st.ops)
 			copy(r.viewDecided, st.decided)
 			copy(r.viewPri, pri)
-			r.viewEligible = append(r.viewEligible[:0], eligible...)
+			r.viewEligible = append(r.viewEligible[:0], r.eligible...)
 			r.view = View{
 				Current:     st.current,
 				QuantumLeft: st.quantumLeft(),
@@ -292,7 +315,7 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 				Eligible:    r.viewEligible,
 			}
 			choice = adv.Choose(&r.view)
-			if !contains(eligible, choice) {
+			if !contains(r.eligible, choice) {
 				return nil, fmt.Errorf("hybrid: adversary chose ineligible process %d", choice)
 			}
 		}

@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"leanconsensus/internal/machine"
@@ -17,6 +18,7 @@ type State struct {
 	mem      register.Mem
 	pri      []int
 	maxPri   int // highest priority of any process
+	minPri   int // lowest priority of any process
 	quantum  int
 
 	current   int   // running process, -1 if none
@@ -26,6 +28,11 @@ type State struct {
 	pending   []machine.Op
 	ops       []int64
 	live      int
+	// liveTree is a Fenwick tree over the undecided processes in
+	// ascending order: node j (1-based) counts those among processes
+	// j−(j&−j) … j−1, so nthLive selects one in O(log n) and a decision
+	// updates O(log n) nodes.
+	liveTree []int
 
 	// liberal disables the uniprocessor consistency rule that a process
 	// waking up always begins a fresh quantum: in liberal mode every
@@ -69,6 +76,7 @@ func (st *State) reset(machines []machine.Machine, mem register.Mem, pri []int, 
 		pending:   resize(st.pending, n),
 		ops:       resize(st.ops, n),
 		live:      n,
+		liveTree:  resize(st.liveTree, n+1),
 		liberal:   liberal,
 	}
 	for i := 0; i < n; i++ {
@@ -83,6 +91,10 @@ func (st *State) reset(machines []machine.Machine, mem register.Mem, pri []int, 
 		if i == 0 || pri[i] > st.maxPri {
 			st.maxPri = pri[i]
 		}
+		if i == 0 || pri[i] < st.minPri {
+			st.minPri = pri[i]
+		}
+		st.liveTree[i+1] = (i + 1) & -(i + 1)
 	}
 }
 
@@ -160,33 +172,49 @@ func (st *State) Eligible() []int {
 // EligibleInto is Eligible with a caller-supplied buffer, so the per-step
 // scheduling loop in Run does not allocate. While the current process
 // holds its quantum at the top priority — most steps — it answers in
-// O(1) instead of scanning every process.
+// O(1) instead of scanning every process. When open reports that every
+// live process qualifies, the answer is the live processes in ascending
+// order, which Run indexes with nthLive instead of calling this for a
+// *Random adversary.
 func (st *State) EligibleInto(out []int) []int {
 	out = out[:0]
-	if c := st.current; c >= 0 && !st.decided[c] && st.remaining[c] > 0 && st.pri[c] >= st.maxPri {
+	c := st.current
+	if c >= 0 && !st.decided[c] && st.remaining[c] > 0 && st.pri[c] >= st.maxPri {
 		// A process holding its quantum at the top priority cannot be
 		// pre-empted, so the scan below would return exactly [c].
 		return append(out, c)
 	}
-	n := len(st.machines)
-	free := st.current < 0 || st.decided[st.current]
-	exhausted := st.current >= 0 && st.remaining[st.current] <= 0
-	for i := 0; i < n; i++ {
-		if st.decided[i] {
-			continue
-		}
-		switch {
-		case i == st.current:
-			out = append(out, i)
-		case free:
-			out = append(out, i)
-		case st.pri[i] > st.pri[st.current]:
-			out = append(out, i)
-		case exhausted && st.pri[i] == st.pri[st.current]:
+	all := st.open()
+	for i, d := range st.decided {
+		if !d && (all || i == c || st.pri[i] > st.pri[c] ||
+			st.remaining[c] <= 0 && st.pri[i] == st.pri[c]) {
 			out = append(out, i)
 		}
 	}
 	return out
+}
+
+// open reports whether every live process may run next: the processor
+// is free, or its holder has spent its quantum and no process has a
+// lower priority. With equal priorities that is every quantum boundary
+// and every decision, and the eligible processes are then exactly the
+// live ones in ascending order, which nthLive indexes without a scan.
+func (st *State) open() bool {
+	c := st.current
+	return c < 0 || st.decided[c] || st.remaining[c] <= 0 && st.pri[c] <= st.minPri
+}
+
+// nthLive returns the k-th undecided process in ascending order, for k
+// in [0, Live()).
+func (st *State) nthLive(k int) int {
+	i := 0
+	for step := 1 << (bits.Len(uint(len(st.liveTree)-1)) - 1); step > 0; step >>= 1 {
+		if j := i + step; j < len(st.liveTree) && st.liveTree[j] <= k {
+			i = j
+			k -= st.liveTree[j]
+		}
+	}
+	return i
 }
 
 // ExecuteOne runs a single operation of process i, which must be eligible.
@@ -228,6 +256,9 @@ func (st *State) ExecuteOne(i int) {
 	case machine.Decided:
 		st.decided[i] = true
 		st.live--
+		for j := i + 1; j < len(st.liveTree); j += j & -j {
+			st.liveTree[j]--
+		}
 	case machine.Running:
 		st.pending[i] = next
 	default:
@@ -248,6 +279,7 @@ func (st *State) Clone() *State {
 		mem:       sim.Clone(),
 		pri:       st.pri, // immutable
 		maxPri:    st.maxPri,
+		minPri:    st.minPri,
 		quantum:   st.quantum,
 		current:   st.current,
 		remaining: append([]int(nil), st.remaining...),
@@ -256,6 +288,7 @@ func (st *State) Clone() *State {
 		pending:   append([]machine.Op(nil), st.pending...),
 		ops:       append([]int64(nil), st.ops...),
 		live:      st.live,
+		liveTree:  append([]int(nil), st.liveTree...),
 		liberal:   st.liberal,
 	}
 	for i, m := range st.machines {
