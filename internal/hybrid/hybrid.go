@@ -16,14 +16,11 @@
 // Adversary choose everything else; internal/modelcheck additionally
 // explores all adversary choices exhaustively for small configurations.
 //
-// Theorem 14 also makes a run Θ(n) operations, and Runner keeps it that
-// cheap for the default randomized legal scheduler (Random) under equal
-// priorities: mid-quantum the running process is the only choice, and
-// at a quantum boundary or a decision every live process may run, so the
-// runner draws Random's choice from an O(log n) index of the live
-// processes without scanning them or copying a View. Every other
-// adversary, and any choice some live process may not take, still gets
-// a scan and a snapshot View.
+// Theorem 14 also makes a run Θ(n) operations. Under equal priorities
+// the default randomized scheduler (Random) keeps a run close to that:
+// wherever every live process may run, Runner draws its choice from an
+// O(log n) index of the live processes instead of scanning them and
+// copying a View.
 package hybrid
 
 import (
@@ -81,9 +78,8 @@ type Result struct {
 	Steps int64
 }
 
-// View exposes scheduler state to adversaries. The runner builds one for
-// every choice among several processes, except a *Random adversary's
-// choice among all live processes, which it draws without one. Its
+// View exposes scheduler state to adversaries, for every choice among
+// several processes but Random's among all live ones (see Random). Its
 // slices are snapshots owned by the scheduler and valid only for the
 // duration of Choose:
 // adversaries must treat them as read-only and must not retain them
@@ -195,11 +191,9 @@ func Run(cfg Config) (*Result, error) { return new(Runner).Run(cfg) }
 
 // Runner executes hybrid-scheduled runs one after another, reusing the
 // scheduler state, the result and the adversary's view buffers, so a
-// warm runner allocates nothing per run. A *Random adversary choosing
-// among all live processes is served from the state's live index with no
-// View (see Random), so under equal priorities it costs O(log n) a
-// quantum boundary or decision rather than O(n). The zero Runner is
-// ready to use; it is not safe for concurrent use.
+// warm runner allocates nothing per run. A *Random adversary's choice
+// among all live processes costs O(log n), with no View (see Random).
+// The zero Runner is ready to use; it is not safe for concurrent use.
 type Runner struct {
 	st       State
 	res      Result

@@ -28,10 +28,9 @@ type State struct {
 	pending   []machine.Op
 	ops       []int64
 	live      int
-	// liveTree is a Fenwick tree over the undecided processes in
-	// ascending order: node j (1-based) counts those among processes
-	// j−(j&−j) … j−1, so nthLive selects one in O(log n) and a decision
-	// updates O(log n) nodes.
+	// liveTree is a Fenwick tree over the undecided processes: node j
+	// (1-based) counts those among processes j−(j&−j) … j−1, so nthLive
+	// and a decision's update each cost O(log n).
 	liveTree []int
 
 	// liberal disables the uniprocessor consistency rule that a process
@@ -172,10 +171,7 @@ func (st *State) Eligible() []int {
 // EligibleInto is Eligible with a caller-supplied buffer, so the per-step
 // scheduling loop in Run does not allocate. While the current process
 // holds its quantum at the top priority — most steps — it answers in
-// O(1) instead of scanning every process. When open reports that every
-// live process qualifies, the answer is the live processes in ascending
-// order, which Run indexes with nthLive instead of calling this for a
-// *Random adversary.
+// O(1) instead of scanning every process.
 func (st *State) EligibleInto(out []int) []int {
 	out = out[:0]
 	c := st.current
@@ -196,9 +192,8 @@ func (st *State) EligibleInto(out []int) []int {
 
 // open reports whether every live process may run next: the processor
 // is free, or its holder has spent its quantum and no process has a
-// lower priority. With equal priorities that is every quantum boundary
-// and every decision, and the eligible processes are then exactly the
-// live ones in ascending order, which nthLive indexes without a scan.
+// lower priority. Under equal priorities that is every quantum boundary
+// and decision, and Run then draws a *Random choice with nthLive.
 func (st *State) open() bool {
 	c := st.current
 	return c < 0 || st.decided[c] || st.remaining[c] <= 0 && st.pri[c] <= st.minPri
