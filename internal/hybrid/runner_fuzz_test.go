@@ -23,6 +23,7 @@ func FuzzHybridRunnerMatchesScan(f *testing.F) {
 	f.Add(uint8(39), uint8(1), uint8(3), uint8(7), uint8(4), uint64(0xdeadbeef), uint64(2))
 	f.Add(uint8(16), uint8(2), uint8(16), uint8(2), uint8(1), uint64(0x0f0f0f0f), uint64(3))
 	f.Add(uint8(0), uint8(2), uint8(0), uint8(9), uint8(2), uint64(1), uint64(4))
+	scanRec, runRec := trace.NewRecorder(1<<12), trace.NewRecorder(1<<12)
 	f.Fuzz(func(t *testing.T, nRaw, priMode, partial, usedRaw, quantumRaw uint8, inputs, seed uint64) {
 		n := 1 + int(nRaw)%40
 		quantum := 8 + int(quantumRaw)%5
@@ -50,24 +51,23 @@ func FuzzHybridRunnerMatchesScan(f *testing.F) {
 		}
 		var runner Runner
 		for k, mk := range advs {
-			cfg := func() Config {
+			cfg := func(rec *trace.Recorder) Config {
+				rec.Reset()
 				ms, mem := fuzzMachines(n, inputs)
 				return Config{
 					N: n, Machines: ms, Mem: mem, Priorities: pri, Quantum: quantum,
-					InitialUsed: used, Adversary: mk(), Trace: trace.NewRecorder(1 << 12),
+					InitialUsed: used, Adversary: mk(), Trace: rec,
 				}
 			}
-			ref := cfg()
-			want := scanRun(t, ref)
-			c := cfg()
-			got, err := runner.Run(c)
+			want := scanRun(t, cfg(scanRec))
+			got, err := runner.Run(cfg(runRec))
 			if err != nil {
 				t.Fatalf("adversary %d: %v", k, err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("adversary %d: runner %+v, scan %+v", k, got, want)
 			}
-			if g, w := c.Trace.Events(), ref.Trace.Events(); !reflect.DeepEqual(g, w) {
+			if g, w := runRec.Events(), scanRec.Events(); !reflect.DeepEqual(g, w) {
 				t.Fatalf("adversary %d: runner traced %d events, scan %d, or they differ", k, len(g), len(w))
 			}
 		}
