@@ -11,11 +11,11 @@ import (
 	"leanconsensus/internal/trace"
 )
 
-// runTracedBatch serves count derived instances on a traced arena and
-// returns the capture set and the report.
-func runTracedBatch(t *testing.T, seed uint64, count int, tc *TraceConfig) ([]trace.Instance, *Report) {
+// runTracedBatch serves count proposals on a traced arena of two shards
+// of the given worker count and returns the capture set and the report.
+func runTracedBatch(t *testing.T, workers int, seed uint64, count int, tc *TraceConfig) ([]trace.Instance, *Report) {
 	t.Helper()
-	a, err := New(Config{Shards: 2, Workers: 2, Seed: seed, Trace: tc})
+	a, err := New(Config{Shards: 2, Workers: workers, Seed: seed, Trace: tc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func runTracedBatch(t *testing.T, seed uint64, count int, tc *TraceConfig) ([]tr
 }
 
 func TestArenaTraceCapture(t *testing.T) {
-	traces, _ := runTracedBatch(t, 11, 40, &TraceConfig{PerShard: 3})
+	traces, _ := runTracedBatch(t, 2, 11, 40, &TraceConfig{PerShard: 3})
 	if len(traces) == 0 {
 		t.Fatal("traced arena captured nothing")
 	}
@@ -64,22 +64,25 @@ func TestArenaTraceCapture(t *testing.T) {
 	}
 }
 
-// TestArenaTraceDeterministic runs the same batch twice and requires
-// byte-identical traced reports: capture selection must not depend on
-// worker scheduling.
+// TestArenaTraceDeterministic runs the same batch twice, and again on
+// one and on four workers per shard, and requires byte-identical traced
+// reports apart from the echoed worker count: capture selection must not
+// depend on worker scheduling, and merging the workers' keepers must
+// equal ranking each shard in one place.
 func TestArenaTraceDeterministic(t *testing.T) {
-	_, rep1 := runTracedBatch(t, 7, 60, &TraceConfig{PerShard: 2})
-	_, rep2 := runTracedBatch(t, 7, 60, &TraceConfig{PerShard: 2})
-	j1, err := rep1.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := rep2.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(j1) != string(j2) {
-		t.Fatalf("traced reports differ across identical runs:\n%s\n---\n%s", j1, j2)
+	var want []byte
+	for i, workers := range []int{2, 2, 1, 4} {
+		_, rep := runTracedBatch(t, workers, 7, 60, &TraceConfig{PerShard: 2})
+		rep.Workers = 2
+		got, err := rep.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = got
+		} else if string(got) != string(want) {
+			t.Fatalf("traced report on %d workers per shard differs:\n%s\n---\n%s", workers, got, want)
+		}
 	}
 }
 
