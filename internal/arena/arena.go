@@ -1,32 +1,35 @@
 // Package arena is a sharded, worker-pool-backed consensus service: it
 // runs many independent lean-consensus instances concurrently and serves
-// them request-style. A client submits Propose(key, bit) requests; the
-// arena routes each key to a shard with a consistent hash, executes the
-// instance on one of the shard's workers under a pluggable execution model
-// (engine.Model), and returns the decided value together with aggregate
-// latency and throughput statistics. Each worker owns one engine.Session,
-// so steady-state serving reuses the simulation buffers instead of
-// reallocating them per instance.
+// them request-style. Every request is a cell (see cell.go): RunCells
+// places a caller's cells round-robin, and a client's Propose(key, bit)
+// is a one-repetition cell that the arena routes to a shard with a
+// consistent hash of the key. One of the shard's workers executes it
+// under a pluggable execution model (engine.Model) and returns the
+// decided value together with aggregate latency and throughput
+// statistics. Each worker owns one engine.Session, so steady-state
+// serving reuses the simulation buffers instead of reallocating them per
+// instance.
 //
 // The design leans on the paper's central observation in reverse: noisy
 // scheduling makes each individual instance terminate in Θ(log n)
 // expected rounds, so thousands of mutually independent instances can be
 // packed onto a small worker pool with predictable per-request cost.
 //
-// Determinism: every instance's outcome is a pure function of the arena
+// Determinism: every proposal's outcome is a pure function of the arena
 // seed, the key, the proposed bit, N, the noise, the model, and the
-// adversary. Each instance's private seed mixes the arena seed with the
+// adversary. Each proposal's private seed mixes the arena seed with the
 // key's stable 64-bit hash, so the pool shape (Shards, Workers) decides
 // only where and when an instance runs, never what it decides: whole-arena
 // runs replay exactly under a fixed seed on any pool shape — including
-// under `go test -race`. Cells (RunCells) carry their own seeds, metrics
-// bundle and capture budget, and read none of the arena's.
+// under `go test -race`. A caller's cells (RunCells) carry their own
+// seeds, metrics bundle and capture budget, and read none of the arena's.
 package arena
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,10 +71,10 @@ type Config struct {
 	// Model selects the execution model (default the engine's "sched"
 	// model; see engine.ByName for resolution from a name).
 	Model engine.Model
-	// Adversary is the adversarial schedule armed for every derived
-	// (Submit/Propose) instance; nil selects the zero schedule. New
-	// rejects a schedule the model cannot run with the engine's typed
-	// error. Cells carry their own via CellRequest.Adversary.
+	// Adversary is the adversarial schedule armed for every proposal
+	// (Submit/Propose); nil selects the zero schedule. New rejects a
+	// schedule the model cannot run with the engine's typed error. A
+	// caller's cells carry their own via CellRequest.Adversary.
 	Adversary *engine.Adversary
 	// Seed makes the whole arena reproducible: same seed, same keys, same
 	// bits — byte-identical decisions and simulated metrics.
@@ -79,17 +82,17 @@ type Config struct {
 	// QueueDepth is the per-shard request buffer (default
 	// DefaultQueueDepth).
 	QueueDepth int
-	// Metrics, when non-nil, receives live telemetry of the derived
-	// (Submit/Propose) instances, cells having their own: every decision,
-	// round count, operation count, and per-instance latency is recorded
-	// on per-worker stripes (see NewMetrics). All bundle fields must be
-	// set.
+	// Metrics, when non-nil, is the metrics bundle of every proposal's
+	// one-repetition cell, a caller's cells carrying their own: every
+	// decision, round count, operation count, and per-instance latency is
+	// recorded on per-worker stripes (see NewMetrics). All bundle fields
+	// must be set.
 	Metrics *Metrics
-	// Trace, when non-nil, arms the flight recorder for the derived
-	// instances, cells having their own: each worker session records
-	// every instance's step events and each shard keeps its PerShard most
-	// interesting captures (see TraceConfig). Read them with Traces. Nil
-	// tracing costs nothing on the serving path.
+	// Trace, when non-nil, arms the flight recorder for the proposals, a
+	// caller's cells carrying their own: each worker session records
+	// every proposal's step events and each shard keeps its PerShard most
+	// interesting captures, named by key, on New's own copy (see
+	// TraceConfig). Read them with Traces. Nil tracing costs nothing.
 	Trace *TraceConfig
 }
 
@@ -114,19 +117,14 @@ type Result struct {
 	Err error
 }
 
-// request is one queued unit of work: either one derived proposal (the
-// Propose/Submit path: the instance's seed and inputs come from the arena
-// seed and the key) or, when cell is non-nil, a whole cell (the
-// RunCells path), delivered on cellDone instead of done.
+// request is one queued cell, served in one piece by a worker of shard:
+// a caller's (RunCells), delivered on done, or a proposal's (Submit),
+// whose sink delivers its Result and which leaves done nil.
 type request struct {
-	key   string
+	cell  CellRequest
 	shard int
-	bit   int
 	enq   time.Time
-	done  chan Result
-
-	cell     *CellRequest
-	cellDone chan CellResult
+	done  chan CellResult
 }
 
 // ShardStats accumulates one shard's (or one cell's) deterministic
@@ -175,8 +173,8 @@ func (s *ShardStats) Merge(o ShardStats) {
 	}
 }
 
-// Stats is an aggregate snapshot of a running arena's derived
-// (Submit/Propose) instances; cells report theirs on CellResult.Stats.
+// Stats is an aggregate snapshot of a running arena's proposals
+// (Submit/Propose); a caller's cells report theirs on CellResult.Stats.
 type Stats struct {
 	// Totals aggregates every shard.
 	Totals ShardStats
@@ -205,7 +203,7 @@ func (s Stats) MeanFirstRound() float64 {
 // shard is one independent lane of the service.
 type shard struct {
 	id   int
-	reqs chan *request
+	reqs chan request
 
 	mu    sync.Mutex
 	stats ShardStats
@@ -219,14 +217,7 @@ type Arena struct {
 	start  time.Time
 	wg     sync.WaitGroup
 
-	// keepers holds one trace keeper per worker, indexed by worker id
-	// (shard*Workers+w); nil when tracing is off. Per-worker keepers make
-	// trace capture contention-free on the serving path: the only writer
-	// of a keeper is its worker, so ranking and event copying never
-	// serialize workers against each other (they used to rank under a
-	// per-shard mutex — the traced-throughput gap). Traces() merges them
-	// per shard into exactly the set the shard-global ranking would keep.
-	keepers []*traceKeeper
+	proposals sync.Pool // of *proposal, put back by its own sink
 
 	next atomic.Uint64 // the shard RunCells places its next cell on, mod Shards
 
@@ -268,24 +259,30 @@ func New(cfg Config) (*Arena, error) {
 	if err := engine.CheckAdversary(cfg.Model, cfg.Adversary); err != nil {
 		return nil, fmt.Errorf("arena: %w", err)
 	}
-	a := &Arena{cfg: cfg, start: time.Now()}
-	a.shards = make([]*shard, cfg.Shards)
 	if cfg.Trace != nil {
-		a.keepers = make([]*traceKeeper, cfg.Shards*cfg.Workers)
+		tc := *cfg.Trace
+		for range cfg.Shards * cfg.Workers {
+			tc.keepers = append(tc.keepers, &traceKeeper{k: tc.budget()})
+		}
+		cfg.Trace = &tc
 	}
+	a := &Arena{cfg: cfg, start: time.Now()}
+	a.proposals.New = func() any {
+		p := &proposal{a: a, inputs: make([]int, cfg.N)}
+		p.seedOf = func(int) uint64 { return p.seed }
+		p.rng = rand.New(&p.src)
+		return p
+	}
+	a.shards = make([]*shard, cfg.Shards)
 	for i := range a.shards {
 		s := &shard{
 			id:   i,
-			reqs: make(chan *request, cfg.QueueDepth),
+			reqs: make(chan request, cfg.QueueDepth),
 		}
 		a.shards[i] = s
 		for w := 0; w < cfg.Workers; w++ {
-			idx := i*cfg.Workers + w
-			if cfg.Trace != nil {
-				a.keepers[idx] = &traceKeeper{k: cfg.Trace.budget()}
-			}
 			a.wg.Add(1)
-			go a.worker(s, idx)
+			go a.worker(s, i*cfg.Workers+w)
 		}
 	}
 	return a, nil
@@ -303,27 +300,73 @@ func (a *Arena) Config() Config { return a.cfg }
 func (a *Arena) ShardFor(key string) int { return jump(hash64(key), len(a.shards)) }
 
 // Submit enqueues one proposal and returns the channel its Result will be
-// delivered on. It blocks only when the target shard's queue is full
-// (backpressure). After Close it returns ErrClosed.
+// delivered on. The proposal is a one-repetition cell on the shard its
+// key routes to: its seed mixes the arena seed with the key's hash, bit
+// is process 0's input and the other inputs come from that seed's
+// "inputs" stream, and it runs under the arena's Model, Noise,
+// Adversary, Metrics and Trace. Submit blocks only when the target
+// shard's queue is full (backpressure). After Close it returns
+// ErrClosed.
 func (a *Arena) Submit(key string, bit int) (<-chan Result, error) {
 	if bit != 0 && bit != 1 {
 		return nil, fmt.Errorf("arena: proposed bit must be 0 or 1, got %d", bit)
 	}
-	req := &request{
-		key:   key,
-		shard: a.ShardFor(key),
-		bit:   bit,
-		enq:   time.Now(),
-		done:  make(chan Result, 1),
+	h := hash64(key)
+	si := jump(h, len(a.shards))
+	p := a.proposals.Get().(*proposal)
+	p.seed = xrand.Mix(a.cfg.Seed, h)
+	p.inputs[0] = bit
+	p.src.Reset(p.seed, 0x696e70757473) // "inputs"
+	for i := 1; i < len(p.inputs); i++ {
+		p.inputs[i] = p.rng.Intn(2)
 	}
-	if err := a.enqueue(req); err != nil {
+	done := make(chan Result, 1)
+	p.shard, p.enq, p.done = a.shards[si], time.Now(), done
+	err := a.enqueue(request{
+		cell: CellRequest{
+			Model: a.cfg.Model, Key: key, N: a.cfg.N, Inputs: p.inputs,
+			Noise: a.cfg.Noise, Adversary: a.cfg.Adversary, Reps: 1,
+			Seed: p.seedOf, Sink: p, Metrics: a.cfg.Metrics, Trace: a.cfg.Trace,
+		},
+		shard: si,
+		enq:   p.enq,
+	})
+	if err != nil {
+		a.proposals.Put(p)
 		return nil, err
 	}
-	return req.done, nil
+	return done, nil
+}
+
+// proposal is one Submit in flight: the pooled inputs and seed of its
+// one-repetition cell, and the sink that delivers its Result.
+type proposal struct {
+	a      *Arena
+	shard  *shard
+	enq    time.Time
+	done   chan Result
+	seed   uint64
+	seedOf func(int) uint64 // returns seed; made once per pooled proposal
+	inputs []int
+	src    xrand.Source
+	rng    *rand.Rand // draws from src
+}
+
+// Add stamps the proposal's latency, folds its result into the shard's
+// counters and delivers it. The worker reads a cell's inputs and seed no
+// more once its last repetition reaches the sink, so Add recycles p.
+func (p *proposal) Add(_ int, r Result) {
+	r.Latency = time.Since(p.enq)
+	s, done := p.shard, p.done
+	p.a.proposals.Put(p)
+	s.mu.Lock()
+	s.stats.add(r)
+	s.mu.Unlock()
+	done <- r
 }
 
 // enqueue routes one prepared request onto its shard queue.
-func (a *Arena) enqueue(req *request) error {
+func (a *Arena) enqueue(req request) error {
 	// The read lock is held across the send so Close cannot close the
 	// queue between the closed-check and the send. Workers keep draining
 	// while Close waits for the write lock, so a blocked send still makes
@@ -333,11 +376,7 @@ func (a *Arena) enqueue(req *request) error {
 	if a.closed {
 		return ErrClosed
 	}
-	m := a.cfg.Metrics
-	if req.cell != nil {
-		m = req.cell.Metrics
-	}
-	if m != nil {
+	if m := req.cell.Metrics; m != nil {
 		// Balanced by the serving worker's decrement on the same bundle;
 		// stripes may go individually negative, only the cross-stripe sum
 		// is meaningful. A cell counts as one queued request.
@@ -406,88 +445,28 @@ func (a *Arena) Close() error {
 
 // worker serves one shard's queue until the queue closes. Each worker
 // owns one engine.Session: the pooled simulation state is reused across
-// every instance the worker serves, which is what keeps steady-state
+// every cell the worker serves, which is what keeps steady-state
 // allocations near zero. Sessions never influence outcomes, so which
 // worker serves a request remains observationally irrelevant.
 func (a *Arena) worker(s *shard, idx int) {
 	defer a.wg.Done()
 	sess := engine.NewSession()
-	wm := a.cfg.Metrics.stripes(idx)
-	var tk *traceKeeper
-	if a.cfg.Trace != nil {
-		tk = a.keepers[idx] // private, so capture never contends with siblings
-	}
 	// One pooled recorder per worker, made on first use and reset per
-	// instance like the session's simulation buffers, armed only while
-	// serving a request that traces: a derived instance on a traced
-	// arena, or a cell carrying its own Trace.
+	// repetition like the session's simulation buffers, armed only while
+	// serving a cell that traces.
 	var rec *trace.Recorder
-	arm := func(tc *TraceConfig) {
-		if tc == nil {
-			sess.SetTrace(nil)
-			return
-		}
-		if rec == nil {
-			rec = trace.NewRecorder(0)
-		}
-		sess.SetTrace(rec)
-	}
 	for req := range s.reqs {
-		if req.cell != nil {
-			arm(req.cell.Trace)
-			req.cellDone <- a.serveCell(s, sess, req, idx)
-			continue
+		if req.cell.Trace == nil {
+			sess.SetTrace(nil)
+		} else {
+			if rec == nil {
+				rec = trace.NewRecorder(0)
+			}
+			sess.SetTrace(rec)
 		}
-		arm(a.cfg.Trace)
-		if rec := sess.Trace(); rec != nil {
-			rec.Reset()
+		res := a.serveCell(s, sess, &req, idx)
+		if req.done != nil {
+			req.done <- res
 		}
-		res := a.serve(s, sess, req, tk)
-		s.mu.Lock()
-		s.stats.add(res)
-		s.mu.Unlock()
-		if wm != nil {
-			wm.record(res)
-		}
-		req.done <- res
 	}
-}
-
-// newResult reports one instance's engine outcome.
-func newResult(key string, shard int, r engine.Result, err error) Result {
-	if err != nil {
-		return Result{Key: key, Shard: shard, Err: err}
-	}
-	return Result{Key: key, Shard: shard, Value: r.Value, FirstRound: r.FirstRound,
-		LastRound: r.LastRound, Ops: r.Ops, SimTime: r.SimTime}
-}
-
-// serve runs one derived instance. Its seed mixes the arena seed with
-// the key's stable hash, so the outcome does not depend on which shard or
-// worker runs it, or in what order.
-func (a *Arena) serve(s *shard, sess *engine.Session, req *request, tk *traceKeeper) Result {
-	model := a.cfg.Model
-	seed := xrand.Mix(a.cfg.Seed, hash64(req.key))
-	inputs := sess.Inputs(a.cfg.N)
-	inputs[0] = req.bit
-	rng := sess.RNG(seed, 0x696e70757473) // "inputs"
-	for i := 1; i < a.cfg.N; i++ {
-		inputs[i] = rng.Intn(2)
-	}
-	spec := engine.Spec{
-		Key:       req.key,
-		Shard:     s.id,
-		N:         a.cfg.N,
-		Inputs:    inputs,
-		Noise:     a.cfg.Noise,
-		Adversary: a.cfg.Adversary,
-		Seed:      seed,
-	}
-	ir, err := model.Run(spec, sess)
-	res := newResult(req.key, s.id, ir, err)
-	if rec := sess.Trace(); rec != nil {
-		tk.consider(model.Name(), spec, res, rec)
-	}
-	res.Latency = time.Since(req.enq)
-	return res
 }

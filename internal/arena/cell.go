@@ -1,24 +1,27 @@
-// Cell-batched execution: the arena's bulk path, and the only way a
-// caller with its own seeds puts work on an arena. Where Submit routes
-// one *instance* per queue entry, RunCells routes one *cell* — a whole
-// batch of repetitions of the same (model, inputs, noise, adversary, N)
-// template, differing only in seed — to a single worker, which runs the
+// Cell-batched execution: the arena's one kind of request. A cell is a
+// whole batch of repetitions of the same (model, inputs, noise,
+// adversary, N) template, differing only in seed; one worker runs the
 // entire batch as one tight loop over its pooled engine.Session
-// (engine.RunBatch) and folds every repetition straight into the
-// caller's CellSink. No per-repetition request materialization, queue
-// hop, result-channel hop, or key formatting: steady-state repetitions
-// allocate nothing and cost one model run each.
+// (engine.RunBatch) and folds every repetition straight into the cell's
+// CellSink. No per-repetition request materialization, queue hop,
+// result-channel hop, or key formatting: steady-state repetitions
+// allocate nothing and cost one model run each. RunCells places a
+// caller's cells round-robin; Submit enqueues a proposal as a
+// one-repetition cell on the shard its key routes to, whose sink
+// delivers the proposal's Result.
 //
-// A cell is self-contained, so any number of callers can share one
-// arena without seeing each other's work: its outcomes are a pure
+// A caller's cell is self-contained, so any number of callers can share
+// one arena without seeing each other's work: its outcomes are a pure
 // function of the CellRequest (the arena seed plays no part), its
 // counters come back on CellResult.Stats, its telemetry goes to its own
 // Metrics bundle and its captures to CellResult.Traces. Which shard or
 // worker serves a cell affects only wall-clock timing. A traced cell
 // resets the worker's recorder before each repetition and offers it to
-// a cell-private keeper as "<Key>,rep=<rep>" with seed Seed(rep);
-// untraced cells pay one nil check per repetition. The latency histogram
-// observes every repetition, from the cell's enqueue to that
+// the keeper its TraceConfig names: a cell-private one, which names the
+// capture "<Key>,rep=<rep>" with seed Seed(rep), or, for a proposal, its
+// worker's keeper on the arena's copy of Config.Trace, which names it
+// Key. Untraced cells pay one nil check per repetition. The latency
+// histogram observes every repetition, from the cell's enqueue to that
 // repetition's end, while the counters advance once per cell.
 package arena
 
@@ -123,17 +126,11 @@ func (a *Arena) submitCell(cr CellRequest, shard int) (<-chan CellResult, error)
 	if cr.Sink == nil {
 		return nil, fmt.Errorf("arena: cell needs a Sink")
 	}
-	req := &request{
-		key:      cr.Key,
-		shard:    shard,
-		enq:      time.Now(),
-		cell:     &cr,
-		cellDone: make(chan CellResult, 1),
-	}
+	req := request{cell: cr, shard: shard, enq: time.Now(), done: make(chan CellResult, 1)}
 	if err := a.enqueue(req); err != nil {
 		return nil, err
 	}
-	return req.cellDone, nil
+	return req.done, nil
 }
 
 // RunCells pipelines count cells through the arena with a bounded
@@ -190,10 +187,13 @@ func (a *Arena) RunCells(ctx context.Context, count int, gen func(i int) CellReq
 
 // serveCell runs one whole cell on the serving worker, whose session
 // the worker has armed for the cell's Trace: inputs built once, one spec
-// reseeded in place, and every repetition folded into the sink, the
-// cell's own counters and, when traced, its own keeper.
+// reseeded in place, and every repetition offered to the cell's keeper,
+// folded into the cell's own counters and handed to the sink. The
+// telemetry counters go in before the sink sees the last repetition, so
+// whoever holds a cell's last result, a proposal's in particular, also
+// sees its counters.
 func (a *Arena) serveCell(s *shard, sess *engine.Session, req *request, idx int) CellResult {
-	cr := req.cell
+	cr := &req.cell
 	model := cr.Model
 	if model == nil {
 		model = a.cfg.Model
@@ -223,7 +223,7 @@ func (a *Arena) serveCell(s *shard, sess *engine.Session, req *request, idx int)
 	var tk *traceKeeper
 	var repSeed uint64
 	if rec != nil {
-		tk = &traceKeeper{k: cr.Trace.budget()}
+		tk = cr.Trace.keeper(idx)
 		// RunBatch derives each repetition's seed immediately before
 		// running it: the one point to reset the recorder and remember
 		// the seed for the capture.
@@ -234,30 +234,34 @@ func (a *Arena) serveCell(s *shard, sess *engine.Session, req *request, idx int)
 		}
 	}
 	out := CellResult{Key: cr.Key, Shard: s.id, Reps: cr.Reps}
-	wm := cr.Metrics.stripes(idx)
-	sink := cr.Sink
-	n := cr.N
+	var wm workerMetrics
+	if cr.Metrics != nil {
+		wm = cr.Metrics.stripes(idx)
+	}
 	engine.RunBatch(model, spec, sess, cr.Reps, seed, func(rep int, r engine.Result, err error) {
-		res := newResult(cr.Key, s.id, r, err)
-		if err != nil && out.FirstErr == nil {
-			out.FirstErr = err
+		res := Result{Key: cr.Key, Shard: s.id, Value: r.Value, FirstRound: r.FirstRound,
+			LastRound: r.LastRound, Ops: r.Ops, SimTime: r.SimTime}
+		if err != nil {
+			res = Result{Key: cr.Key, Shard: s.id, Err: err}
+			if out.FirstErr == nil {
+				out.FirstErr = err
+			}
 		}
 		out.Stats.add(res)
-		sink.Add(n, res)
-		if wm != nil {
-			wm.latency.Observe(time.Since(req.enq).Seconds())
-		}
 		if tk != nil {
-			key := fmt.Sprintf("%s,rep=%d", cr.Key, rep)
-			tk.consider(model.Name(), engine.Spec{Key: key, N: n, Seed: repSeed}, res, rec)
+			tk.consider(model.Name(), engine.Spec{Key: cr.Key, N: cr.N, Seed: repSeed}, rep, res, rec)
 		}
+		if cr.Metrics != nil {
+			wm.latency.Observe(time.Since(req.enq).Seconds())
+			if rep == cr.Reps-1 {
+				wm.recordCell(out.Stats)
+			}
+		}
+		cr.Sink.Add(cr.N, res)
 	})
 	out.Latency = time.Since(req.enq)
 	out.Errors = out.Stats.Errors
-	if wm != nil {
-		wm.recordCell(out.Stats)
-	}
-	if tk != nil {
+	if tk != nil && tk.cell {
 		out.Traces = tk.kept
 	}
 	return out

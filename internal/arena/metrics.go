@@ -1,10 +1,6 @@
 package arena
 
-import (
-	"time"
-
-	"leanconsensus/internal/metrics"
-)
+import "leanconsensus/internal/metrics"
 
 // Metrics is a telemetry bundle: the arena's own (Config.Metrics) or a
 // cell's (CellRequest.Metrics). All fields must be non-nil; build one
@@ -65,9 +61,8 @@ func NewMetrics(reg *metrics.Registry, kv ...string) *Metrics {
 }
 
 // workerMetrics is one worker's stripe view of a Metrics bundle: every
-// instrument resolved to the worker's private padded slot once, at
-// worker start, so the per-request record path is branch-free index
-// arithmetic plus atomic adds.
+// instrument resolved to the worker's private padded slot once per cell,
+// so the per-repetition path is index arithmetic plus atomic adds.
 type workerMetrics struct {
 	decided [2]metrics.CounterStripe
 	errors  metrics.CounterStripe
@@ -77,12 +72,9 @@ type workerMetrics struct {
 	queued  metrics.GaugeStripe
 }
 
-// stripes resolves the bundle onto stripe idx; nil for a nil bundle.
-func (m *Metrics) stripes(idx int) *workerMetrics {
-	if m == nil {
-		return nil
-	}
-	return &workerMetrics{
+// stripes resolves the bundle onto stripe idx.
+func (m *Metrics) stripes(idx int) workerMetrics {
+	return workerMetrics{
 		decided: [2]metrics.CounterStripe{m.Decided[0].Stripe(idx), m.Decided[1].Stripe(idx)},
 		errors:  m.Errors.Stripe(idx),
 		rounds:  m.Rounds.Stripe(idx),
@@ -92,24 +84,11 @@ func (m *Metrics) stripes(idx int) *workerMetrics {
 	}
 }
 
-// record folds one served result into the worker's stripes.
-func (w *workerMetrics) record(r Result) {
-	w.queued.Add(-1)
-	if r.Err != nil {
-		w.errors.Inc()
-	} else {
-		w.decided[r.Value].Inc()
-		w.rounds.Add(int64(r.FirstRound))
-		w.ops.Add(r.Ops)
-	}
-	w.latency.Observe(float64(r.Latency) / float64(time.Second))
-}
-
 // recordCell folds one served cell's counters into the worker's stripes
 // in bulk and returns the cell's single queue slot (enqueue charged one
 // per request, whatever its Reps). Latency is not observed here: the cell
 // loop observes it once per repetition, so the histogram counts
-// instances on every path.
+// instances.
 func (w *workerMetrics) recordCell(local ShardStats) {
 	w.queued.Add(-1)
 	w.decided[0].Add(local.Decided[0])

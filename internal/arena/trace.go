@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -27,6 +28,10 @@ type TraceConfig struct {
 	// PerShard is the capture budget per shard (default
 	// DefaultTracePerShard).
 	PerShard int
+
+	// keepers holds one keeper per worker (shard*Workers+w) on an arena's
+	// own copy of Config.Trace, and is nil on every other TraceConfig.
+	keepers []*traceKeeper
 }
 
 // budget returns the effective per-shard capture budget.
@@ -55,22 +60,35 @@ func traceRank(a, b *trace.Instance) bool {
 	return a.Key < b.Key
 }
 
-// traceKeeper keeps one worker's (or one traced cell's) top-K captures,
-// sorted by traceRank. Each worker owns one keeper for derived instances
-// (double-buffered ranking): the serving path ranks and copies events
-// into worker-private state, so capture never serializes sibling
-// workers the way a shared per-shard set would. The mutex exists only
-// for Arena.Traces' snapshot reads — the worker itself never contends on
-// it. Merge turns keepers' top-Ks into the shard-global ranking.
+// traceKeeper keeps one worker's proposals' (or one traced cell's)
+// top-K captures, sorted by traceRank. A worker's keeper is written only
+// by its worker, so capture never serializes sibling workers the way a
+// shared per-shard set would; the mutex exists only for Arena.Traces'
+// snapshot reads. Merge turns keepers' top-Ks into the shard-global
+// ranking. A cell's own keeper (cell) names its captures
+// "<key>,rep=<rep>"; a worker's names each proposal by its key.
 type traceKeeper struct {
 	mu   sync.Mutex
 	k    int
+	cell bool
 	kept []trace.Instance
 }
 
-// consider offers one served instance; the recorder's events are copied
-// only if the instance makes the cut.
-func (t *traceKeeper) consider(model string, spec engine.Spec, res Result, rec *trace.Recorder) {
+// keeper returns the keeper for a traced cell served by worker idx: the
+// worker's own on an arena's copy of Config.Trace, else a fresh one for
+// the cell.
+func (tc *TraceConfig) keeper(idx int) *traceKeeper {
+	if tc.keepers != nil {
+		return tc.keepers[idx]
+	}
+	return &traceKeeper{k: tc.budget(), cell: true}
+}
+
+// consider offers repetition rep of a served cell whose spec carries the
+// cell's key, N and the repetition's seed. The capture name is formatted
+// only when the instance beats the cutoff under the plain key, and the
+// recorder's events are copied only if it makes the cut.
+func (t *traceKeeper) consider(model string, spec engine.Spec, rep int, res Result, rec *trace.Recorder) {
 	cand := trace.Instance{
 		Key: spec.Key, Model: model, N: spec.N, Seed: spec.Seed,
 		FirstRound: res.FirstRound, LastRound: res.LastRound,
@@ -81,8 +99,16 @@ func (t *traceKeeper) consider(model string, spec engine.Spec, res Result, rec *
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.kept) == t.k && !traceRank(&cand, &t.kept[len(t.kept)-1]) {
+	if len(t.kept) == t.k && !traceRank(&cand, &t.kept[t.k-1]) {
 		return
+	}
+	if t.cell {
+		// The plain key is a proper prefix of every name this keeper
+		// holds, so it won every tie the full name may still lose.
+		cand.Key = fmt.Sprintf("%s,rep=%d", spec.Key, rep)
+		if len(t.kept) == t.k && !traceRank(&cand, &t.kept[t.k-1]) {
+			return
+		}
 	}
 	cand.Events = rec.Events()
 	pos := sort.Search(len(t.kept), func(i int) bool { return traceRank(&cand, &t.kept[i]) })
@@ -100,21 +126,23 @@ func (t *traceKeeper) snapshot() []trace.Instance {
 	return append([]trace.Instance(nil), t.kept...)
 }
 
-// Traces returns the derived (Submit/Propose) instances captured across
-// all shards, the workers' keepers merged per shard (Merge). It returns
-// nil when tracing is not configured. The snapshot is consistent per
-// keeper; callers wanting the final capture set call it after Close or
-// after their batch has drained.
+// Traces returns the proposals (Submit/Propose) captured across all
+// shards, the workers' keepers merged per shard (Merge). It returns nil
+// when tracing is not configured. A proposal's capture is ranked before
+// its Result is delivered; the snapshot is consistent per keeper, and
+// callers wanting the final capture set call it after Close or after
+// their batch has drained.
 func (a *Arena) Traces() []trace.Instance {
-	if a.cfg.Trace == nil {
+	tc := a.cfg.Trace
+	if tc == nil {
 		return nil
 	}
 	shards := make([][]trace.Instance, len(a.shards))
-	for idx, tk := range a.keepers {
+	for idx, tk := range tc.keepers {
 		si := idx / a.cfg.Workers
 		shards[si] = append(shards[si], tk.snapshot()...)
 	}
-	return a.cfg.Trace.Merge(shards)
+	return tc.Merge(shards)
 }
 
 // Merge ranks captures grouped by shard into one capture set: each

@@ -182,7 +182,7 @@ func TestTraceKeeperBudget(t *testing.T) {
 	rec := trace.NewRecorder(8)
 	rec.Append(trace.Event{Kind: trace.KindOp})
 	offer := func(key string, lastRound int) {
-		st.consider("sched", engine.Spec{Key: key, N: 2, Seed: 1},
+		st.consider("sched", engine.Spec{Key: key, N: 2, Seed: 1}, 0,
 			Result{Key: key, LastRound: lastRound}, rec)
 	}
 	for i, lr := range []int{5, 1, 9, 3, 7, 2, 8} {
@@ -199,6 +199,30 @@ func TestTraceKeeperBudget(t *testing.T) {
 		}
 		if len(inst.Events) != 1 {
 			t.Fatalf("kept instance %q lost its events", inst.Key)
+		}
+	}
+}
+
+// TestProposeCaptureBeforeResult requires a proposal's capture to be
+// ranked before its Result is delivered: Traces called right after
+// Propose returns already holds it when it makes the cut.
+func TestProposeCaptureBeforeResult(t *testing.T) {
+	a, err := New(Config{Shards: 1, Workers: 2, Seed: 4, Trace: &TraceConfig{PerShard: 100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	for i := 0; i < 40; i++ {
+		key := fmt.Sprintf("p-%d", i)
+		if _, err := a.Propose(context.Background(), key, i%2); err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, inst := range a.Traces() {
+			found = found || inst.Key == key
+		}
+		if !found {
+			t.Fatalf("capture of %s missing right after its Propose returned", key)
 		}
 	}
 }
