@@ -280,9 +280,6 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	r.viewOps = resize(r.viewOps, n)
-	r.viewDecided = resize(r.viewDecided, n)
-	r.viewPri = resize(r.viewPri, n)
 	rnd, _ := adv.(*Random)
 	for st.live > 0 {
 		if res.Steps >= maxSteps {
@@ -296,9 +293,9 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 		} else if r.eligible = st.EligibleInto(r.eligible); len(r.eligible) == 1 {
 			choice = r.eligible[0]
 		} else {
-			copy(r.viewOps, st.ops)
-			copy(r.viewDecided, st.decided)
-			copy(r.viewPri, pri)
+			r.viewOps = append(r.viewOps[:0], st.ops...)
+			r.viewDecided = append(r.viewDecided[:0], st.decided...)
+			r.viewPri = append(r.viewPri[:0], pri...)
 			r.viewEligible = append(r.viewEligible[:0], r.eligible...)
 			r.view = View{
 				Current:     st.current,

@@ -172,3 +172,19 @@ func ruleEligible(st *State) []int {
 	}
 	return out
 }
+
+// TestRandomRunLeavesViewBuffersUnset requires a fresh Runner under
+// *Random with nil priorities, which never builds a View, to leave the
+// view's buffers unallocated.
+func TestRandomRunLeavesViewBuffersUnset(t *testing.T) {
+	const n = 64
+	ms, mem := fuzzMachines(n, 0x5a5a5a5a5a5a5a5a)
+	var r Runner
+	if _, err := r.Run(Config{N: n, Machines: ms, Mem: mem, Quantum: 8, Adversary: NewRandom(7)}); err != nil {
+		t.Fatal(err)
+	}
+	if r.viewOps != nil || r.viewDecided != nil || r.viewPri != nil {
+		t.Fatalf("view buffers allocated: %d ops, %d decided, %d priorities",
+			len(r.viewOps), len(r.viewDecided), len(r.viewPri))
+	}
+}
