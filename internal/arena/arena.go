@@ -322,7 +322,7 @@ func (a *Arena) Submit(key string, bit int) (<-chan Result, error) {
 	}
 	done := make(chan Result, 1)
 	p.shard, p.enq, p.done = a.shards[si], time.Now(), done
-	err := a.enqueue(request{
+	err := a.enqueue(&request{
 		cell: CellRequest{
 			Model: a.cfg.Model, Key: key, N: a.cfg.N, Inputs: p.inputs,
 			Noise: a.cfg.Noise, Adversary: a.cfg.Adversary, Reps: 1,
@@ -366,7 +366,7 @@ func (p *proposal) Add(_ int, r Result) {
 }
 
 // enqueue routes one prepared request onto its shard queue.
-func (a *Arena) enqueue(req request) error {
+func (a *Arena) enqueue(req *request) error {
 	// The read lock is held across the send so Close cannot close the
 	// queue between the closed-check and the send. Workers keep draining
 	// while Close waits for the write lock, so a blocked send still makes
@@ -382,7 +382,7 @@ func (a *Arena) enqueue(req request) error {
 		// is meaningful. A cell counts as one queued request.
 		m.Queued.Stripe(req.shard).Add(1)
 	}
-	a.shards[req.shard].reqs <- req
+	a.shards[req.shard].reqs <- *req
 	return nil
 }
 
@@ -464,9 +464,6 @@ func (a *Arena) worker(s *shard, idx int) {
 			}
 			sess.SetTrace(rec)
 		}
-		res := a.serveCell(s, sess, &req, idx)
-		if req.done != nil {
-			req.done <- res
-		}
+		a.serveCell(s, sess, &req, idx)
 	}
 }

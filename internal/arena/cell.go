@@ -126,7 +126,7 @@ func (a *Arena) submitCell(cr CellRequest, shard int) (<-chan CellResult, error)
 	if cr.Sink == nil {
 		return nil, fmt.Errorf("arena: cell needs a Sink")
 	}
-	req := request{cell: cr, shard: shard, enq: time.Now(), done: make(chan CellResult, 1)}
+	req := &request{cell: cr, shard: shard, enq: time.Now(), done: make(chan CellResult, 1)}
 	if err := a.enqueue(req); err != nil {
 		return nil, err
 	}
@@ -191,8 +191,9 @@ func (a *Arena) RunCells(ctx context.Context, count int, gen func(i int) CellReq
 // folded into the cell's own counters and handed to the sink. The
 // telemetry counters go in before the sink sees the last repetition, so
 // whoever holds a cell's last result, a proposal's in particular, also
-// sees its counters.
-func (a *Arena) serveCell(s *shard, sess *engine.Session, req *request, idx int) CellResult {
+// sees its counters. The CellResult goes out on done; a proposal has
+// none, its sink having delivered its Result.
+func (a *Arena) serveCell(s *shard, sess *engine.Session, req *request, idx int) {
 	cr := &req.cell
 	model := cr.Model
 	if model == nil {
@@ -259,10 +260,13 @@ func (a *Arena) serveCell(s *shard, sess *engine.Session, req *request, idx int)
 		}
 		cr.Sink.Add(cr.N, res)
 	})
+	if req.done == nil {
+		return
+	}
 	out.Latency = time.Since(req.enq)
 	out.Errors = out.Stats.Errors
 	if tk != nil && tk.cell {
 		out.Traces = tk.kept
 	}
-	return out
+	req.done <- out
 }

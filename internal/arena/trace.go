@@ -104,7 +104,8 @@ func (t *traceKeeper) consider(model string, spec engine.Spec, rep int, res Resu
 	}
 	if t.cell {
 		// The plain key is a proper prefix of every name this keeper
-		// holds, so it won every tie the full name may still lose.
+		// holds, so the check above let every tie through; the full
+		// name settles it.
 		cand.Key = fmt.Sprintf("%s,rep=%d", spec.Key, rep)
 		if len(t.kept) == t.k && !traceRank(&cand, &t.kept[t.k-1]) {
 			return
