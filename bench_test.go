@@ -160,12 +160,14 @@ func BenchmarkLiveGoroutines(b *testing.B) {
 // through a shared sharded worker pool, so ns/op is the inverse service
 // throughput under full load. The telemetry dimension proves the
 // instrumented hot path stays within 1 alloc/op of the uninstrumented
-// baseline (5 allocs/op after PR 2): metrics record through per-worker
-// striped atomics, never allocating per request. The trace dimension
-// proves the flight recorder is free when disarmed — trace=0 must hold
-// the same 5 allocs/op (the recorder is a nil check on the hot path) —
-// and cheap when armed: trace=2 records into pooled fixed-capacity
-// rings, so steady-state appends allocate nothing.
+// baseline (3 allocs/op: the key and the result channel, every proposal
+// being a one-repetition cell with pooled inputs and sink): metrics
+// record through per-worker striped atomics, never allocating per
+// request. The trace dimension proves the flight recorder is free when
+// disarmed — trace=0 must hold the same 3 allocs/op (the recorder is a
+// nil check on the hot path) — and cheap when armed: trace=2 records
+// into pooled fixed-capacity rings, so steady-state appends allocate
+// nothing.
 func BenchmarkArenaThroughput(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		for _, workers := range []int{1, 4} {
