@@ -35,10 +35,13 @@ func Backends() []string { return engine.Names() }
 // sensible defaults (8 shards, 2 workers per shard, 8 processes per
 // instance, Exponential(1) noise, the sched backend).
 type ArenaConfig struct {
-	// Shards is the number of independent shards; keys are routed to
-	// shards by consistent hashing.
+	// Shards is the number of shards; keys are routed to shards by
+	// consistent hashing, and each shard keeps its keys' counters and
+	// TraceK captures.
 	Shards int
-	// Workers is the worker-pool size per shard.
+	// Workers is the number of workers per shard: the arena runs
+	// Shards × Workers workers, and any idle one serves the next
+	// proposal, whatever its shard.
 	Workers int
 	// N is the number of processes in each consensus instance.
 	N int
@@ -56,7 +59,8 @@ type ArenaConfig struct {
 	// same keys and bits yield identical decisions and simulated metrics
 	// regardless of goroutine scheduling and of Shards and Workers.
 	Seed uint64
-	// QueueDepth is the per-shard request buffer; submissions beyond it
+	// QueueDepth is the request buffer per shard: the arena's one queue
+	// holds Shards × QueueDepth proposals, and submissions beyond that
 	// block (backpressure).
 	QueueDepth int
 	// Telemetry enables the built-in metrics registry: decisions, rounds,
@@ -78,7 +82,7 @@ type ArenaConfig struct {
 type ArenaResult struct {
 	// Key is the routing key the value was agreed under.
 	Key string
-	// Shard is the shard that served the request.
+	// Shard is the shard the key routes to (ShardFor).
 	Shard int
 	// Value is the agreed bit.
 	Value int
@@ -156,7 +160,7 @@ func NewArena(cfg ArenaConfig) (*Arena, error) {
 	a := &Arena{inner: inner, reg: reg}
 	if reg != nil {
 		reg.GaugeFunc("leanconsensus_queue_depth"+metrics.Labels("model", model.Name()),
-			"requests sitting in shard queues", func() int64 { return int64(inner.QueueDepth()) })
+			"requests sitting in the arena's queue", func() int64 { return int64(inner.QueueDepth()) })
 	}
 	return a, nil
 }
@@ -170,8 +174,8 @@ func (a *Arena) WriteMetrics(w io.Writer) error {
 	return a.reg.WritePrometheus(w)
 }
 
-// QueueDepth reports the number of submitted proposals waiting in shard
-// queues (admitted, not yet picked up by a worker).
+// QueueDepth reports the number of submitted proposals waiting in the
+// arena's queue (admitted, not yet picked up by a worker).
 func (a *Arena) QueueDepth() int { return a.inner.QueueDepth() }
 
 // Propose submits one consensus proposal for key and waits for the

@@ -1,14 +1,15 @@
 // Package arena is a sharded, worker-pool-backed consensus service: it
 // runs many independent lean-consensus instances concurrently and serves
-// them request-style. Every request is a cell (see cell.go): RunCells
-// places a caller's cells round-robin, and a client's Propose(key, bit)
-// is a one-repetition cell that the arena routes to a shard with a
-// consistent hash of the key. One of the shard's workers executes it
-// under a pluggable execution model (engine.Model) and returns the
-// decided value together with aggregate latency and throughput
-// statistics. Each worker owns one engine.Session, so steady-state
-// serving reuses the simulation buffers instead of reallocating them per
-// instance.
+// them request-style. Every request is a cell (see cell.go), a caller's
+// (RunCells) or a client's Propose(key, bit), which is a one-repetition
+// cell. Every request waits in one arena-wide queue, and whichever
+// worker is idle next executes it under a pluggable execution model
+// (engine.Model) and returns the decided value together with aggregate
+// latency and throughput statistics. A proposal's key picks its shard
+// with a consistent hash; the shard holds the counters and the capture
+// budget the proposal counts against, not a queue. Each worker owns one
+// engine.Session, so steady-state serving reuses the simulation buffers
+// instead of reallocating them per instance.
 //
 // The design leans on the paper's central observation in reverse: noisy
 // scheduling makes each individual instance terminate in Θ(log n)
@@ -19,10 +20,11 @@
 // seed, the key, the proposed bit, N, the noise, the model, and the
 // adversary. Each proposal's private seed mixes the arena seed with the
 // key's stable 64-bit hash, so the pool shape (Shards, Workers) decides
-// only where and when an instance runs, never what it decides: whole-arena
-// runs replay exactly under a fixed seed on any pool shape — including
-// under `go test -race`. A caller's cells (RunCells) carry their own
-// seeds, metrics bundle and capture budget, and read none of the arena's.
+// only which worker runs an instance and when, never what it decides:
+// whole-arena runs replay exactly under a fixed seed on any pool shape —
+// including under `go test -race`. A caller's cells (RunCells) carry
+// their own seeds, metrics bundle and capture budget, and read none of
+// the arena's.
 package arena
 
 import (
@@ -31,7 +33,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"leanconsensus/internal/dist"
@@ -45,8 +46,9 @@ const (
 	DefaultShards  = 8
 	DefaultWorkers = 2
 	DefaultN       = 8
-	// DefaultQueueDepth is the per-shard request buffer; submissions beyond
-	// it apply backpressure by blocking.
+	// DefaultQueueDepth is the request buffer per shard: the arena's one
+	// queue holds Shards × QueueDepth requests, and submissions beyond
+	// that apply backpressure by blocking.
 	DefaultQueueDepth = 128
 )
 
@@ -60,7 +62,9 @@ var (
 type Config struct {
 	// Shards is the number of independent shards (default DefaultShards).
 	Shards int
-	// Workers is the worker-pool size per shard (default DefaultWorkers).
+	// Workers is the number of workers per shard (default
+	// DefaultWorkers): the arena runs Shards × Workers workers, and every
+	// one of them serves any request.
 	Workers int
 	// N is the number of processes in each consensus instance (default
 	// DefaultN).
@@ -79,8 +83,9 @@ type Config struct {
 	// Seed makes the whole arena reproducible: same seed, same keys, same
 	// bits — byte-identical decisions and simulated metrics.
 	Seed uint64
-	// QueueDepth is the per-shard request buffer (default
-	// DefaultQueueDepth).
+	// QueueDepth is the request buffer per shard (default
+	// DefaultQueueDepth): the arena's one queue holds Shards × QueueDepth
+	// requests.
 	QueueDepth int
 	// Metrics, when non-nil, is the metrics bundle of every proposal's
 	// one-repetition cell, a caller's cells carrying their own: every
@@ -90,9 +95,10 @@ type Config struct {
 	Metrics *Metrics
 	// Trace, when non-nil, arms the flight recorder for the proposals, a
 	// caller's cells carrying their own: each worker session records
-	// every proposal's step events and each shard keeps its PerShard most
-	// interesting captures, named by key, on New's own copy (see
-	// TraceConfig). Read them with Traces. Nil tracing costs nothing.
+	// every proposal's step events and each shard keeps the PerShard most
+	// interesting captures among its keys' proposals, named by key, on
+	// New's own copy (see TraceConfig). Read them with Traces. Nil
+	// tracing costs nothing.
 	Trace *TraceConfig
 }
 
@@ -100,7 +106,8 @@ type Config struct {
 type Result struct {
 	// Key is the client's routing key.
 	Key string
-	// Shard is the shard that served the request.
+	// Shard is the shard the proposal's key routes to (ShardFor); a
+	// cell's repetitions carry 0.
 	Shard int
 	// Value is the agreed bit (undefined when Err != nil).
 	Value int
@@ -117,9 +124,11 @@ type Result struct {
 	Err error
 }
 
-// request is one queued cell, served in one piece by a worker of shard:
-// a caller's (RunCells), delivered on done, or a proposal's (Submit),
-// whose sink delivers its Result and which leaves done nil.
+// request is one queued cell, served in one piece by whichever worker
+// takes it: a caller's (RunCells), delivered on done, or a proposal's
+// (Submit), whose sink delivers its Result and which leaves done nil.
+// shard is a proposal's ShardFor, which picks its capture keeper and
+// its queued-gauge stripe; a caller's cell leaves it 0.
 type request struct {
 	cell  CellRequest
 	shard int
@@ -200,11 +209,8 @@ func (s Stats) MeanFirstRound() float64 {
 	return float64(s.Totals.RoundSum) / float64(n)
 }
 
-// shard is one independent lane of the service.
+// shard holds the counters of the proposals whose keys route to it.
 type shard struct {
-	id   int
-	reqs chan request
-
 	mu    sync.Mutex
 	stats ShardStats
 }
@@ -214,19 +220,18 @@ type shard struct {
 type Arena struct {
 	cfg    Config
 	shards []*shard
+	reqs   chan request // the one queue every worker drains
 	start  time.Time
 	wg     sync.WaitGroup
 
 	proposals sync.Pool // of *proposal, put back by its own sink
 
-	next atomic.Uint64 // the shard RunCells places its next cell on, mod Shards
-
-	mu     sync.RWMutex // guards closed and the shard queues' liveness
+	mu     sync.RWMutex // guards closed and the queue's liveness
 	closed bool
 }
 
 // New validates the configuration, applies defaults, and starts the
-// shard worker pools.
+// Shards × Workers workers.
 func New(cfg Config) (*Arena, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = DefaultShards
@@ -261,12 +266,12 @@ func New(cfg Config) (*Arena, error) {
 	}
 	if cfg.Trace != nil {
 		tc := *cfg.Trace
-		for range cfg.Shards * cfg.Workers {
+		for range cfg.Shards {
 			tc.keepers = append(tc.keepers, &traceKeeper{k: tc.budget()})
 		}
 		cfg.Trace = &tc
 	}
-	a := &Arena{cfg: cfg, start: time.Now()}
+	a := &Arena{cfg: cfg, reqs: make(chan request, cfg.Shards*cfg.QueueDepth), start: time.Now()}
 	a.proposals.New = func() any {
 		p := &proposal{a: a, inputs: make([]int, cfg.N)}
 		p.seedOf = func(int) uint64 { return p.seed }
@@ -275,15 +280,11 @@ func New(cfg Config) (*Arena, error) {
 	}
 	a.shards = make([]*shard, cfg.Shards)
 	for i := range a.shards {
-		s := &shard{
-			id:   i,
-			reqs: make(chan request, cfg.QueueDepth),
-		}
-		a.shards[i] = s
-		for w := 0; w < cfg.Workers; w++ {
-			a.wg.Add(1)
-			go a.worker(s, i*cfg.Workers+w)
-		}
+		a.shards[i] = &shard{}
+	}
+	for idx := range cfg.Shards * cfg.Workers {
+		a.wg.Add(1)
+		go a.worker(idx)
 	}
 	return a, nil
 }
@@ -300,13 +301,13 @@ func (a *Arena) Config() Config { return a.cfg }
 func (a *Arena) ShardFor(key string) int { return jump(hash64(key), len(a.shards)) }
 
 // Submit enqueues one proposal and returns the channel its Result will be
-// delivered on. The proposal is a one-repetition cell on the shard its
-// key routes to: its seed mixes the arena seed with the key's hash, bit
-// is process 0's input and the other inputs come from that seed's
-// "inputs" stream, and it runs under the arena's Model, Noise,
-// Adversary, Metrics and Trace. Submit blocks only when the target
-// shard's queue is full (backpressure). After Close it returns
-// ErrClosed.
+// delivered on. The proposal is a one-repetition cell that counts
+// against the shard its key routes to: its seed mixes the arena seed
+// with the key's hash, bit is process 0's input and the other inputs
+// come from that seed's "inputs" stream, and it runs under the arena's
+// Model, Noise, Adversary, Metrics and Trace. Submit blocks only when
+// the arena's queue is full, whatever shard the key routes to
+// (backpressure). After Close it returns ErrClosed.
 func (a *Arena) Submit(key string, bit int) (<-chan Result, error) {
 	if bit != 0 && bit != 1 {
 		return nil, fmt.Errorf("arena: proposed bit must be 0 or 1, got %d", bit)
@@ -365,7 +366,7 @@ func (p *proposal) Add(_ int, r Result) {
 	done <- r
 }
 
-// enqueue routes one prepared request onto its shard queue.
+// enqueue puts one prepared request on the arena's queue.
 func (a *Arena) enqueue(req *request) error {
 	// The read lock is held across the send so Close cannot close the
 	// queue between the closed-check and the send. Workers keep draining
@@ -382,21 +383,15 @@ func (a *Arena) enqueue(req *request) error {
 		// is meaningful. A cell counts as one queued request.
 		m.Queued.Stripe(req.shard).Add(1)
 	}
-	a.shards[req.shard].reqs <- *req
+	a.reqs <- *req
 	return nil
 }
 
-// QueueDepth reports the number of requests currently sitting in shard
-// queues (admitted by Submit, not yet picked up by a worker). It is a
-// live introspection signal — serving layers export it as a gauge and
-// shed load against it — not a synchronized count.
-func (a *Arena) QueueDepth() int {
-	depth := 0
-	for _, s := range a.shards {
-		depth += len(s.reqs)
-	}
-	return depth
-}
+// QueueDepth reports the number of requests currently sitting in the
+// arena's queue (admitted, not yet picked up by a worker). It is a live
+// introspection signal — serving layers export it as a gauge and shed
+// load against it — not a synchronized count.
+func (a *Arena) QueueDepth() int { return len(a.reqs) }
 
 // Propose submits one proposal and waits for its decision or for ctx.
 // On ctx expiry the instance still runs to completion in the background;
@@ -432,9 +427,7 @@ func (a *Arena) Close() error {
 	a.mu.Lock()
 	if !a.closed {
 		a.closed = true
-		for _, s := range a.shards {
-			close(s.reqs)
-		}
+		close(a.reqs)
 	}
 	a.mu.Unlock()
 	// Every caller waits for the drain, so a concurrent second Close
@@ -443,19 +436,20 @@ func (a *Arena) Close() error {
 	return nil
 }
 
-// worker serves one shard's queue until the queue closes. Each worker
+// worker serves the arena's queue until the queue closes. Each worker
 // owns one engine.Session: the pooled simulation state is reused across
 // every cell the worker serves, which is what keeps steady-state
 // allocations near zero. Sessions never influence outcomes, so which
-// worker serves a request remains observationally irrelevant.
-func (a *Arena) worker(s *shard, idx int) {
+// worker serves a request remains observationally irrelevant. idx is
+// the worker's metrics stripe.
+func (a *Arena) worker(idx int) {
 	defer a.wg.Done()
 	sess := engine.NewSession()
 	// One pooled recorder per worker, made on first use and reset per
 	// repetition like the session's simulation buffers, armed only while
 	// serving a cell that traces.
 	var rec *trace.Recorder
-	for req := range s.reqs {
+	for req := range a.reqs {
 		if req.cell.Trace == nil {
 			sess.SetTrace(nil)
 		} else {
@@ -464,6 +458,6 @@ func (a *Arena) worker(s *shard, idx int) {
 			}
 			sess.SetTrace(rec)
 		}
-		a.serveCell(s, sess, &req, idx)
+		a.serveCell(sess, &req, idx)
 	}
 }

@@ -5,21 +5,21 @@
 // (engine.RunBatch) and folds every repetition straight into the cell's
 // CellSink. No per-repetition request materialization, queue hop,
 // result-channel hop, or key formatting: steady-state repetitions
-// allocate nothing and cost one model run each. RunCells places a
-// caller's cells round-robin; Submit enqueues a proposal as a
-// one-repetition cell on the shard its key routes to, whose sink
-// delivers the proposal's Result.
+// allocate nothing and cost one model run each. RunCells enqueues a
+// caller's cells and Submit a proposal as a one-repetition cell, whose
+// sink delivers the proposal's Result, on the arena's one queue, which
+// every idle worker drains.
 //
 // A caller's cell is self-contained, so any number of callers can share
 // one arena without seeing each other's work: its outcomes are a pure
 // function of the CellRequest (the arena seed plays no part), its
 // counters come back on CellResult.Stats, its telemetry goes to its own
-// Metrics bundle and its captures to CellResult.Traces. Which shard or
-// worker serves a cell affects only wall-clock timing. A traced cell
-// resets the worker's recorder before each repetition and offers it to
-// the keeper its TraceConfig names: a cell-private one, which names the
+// Metrics bundle and its captures to CellResult.Traces. Which worker
+// serves a cell affects only wall-clock timing. A traced cell resets
+// the worker's recorder before each repetition and offers it to the
+// keeper its TraceConfig names: a cell-private one, which names the
 // capture "<Key>,rep=<rep>" with seed Seed(rep), or, for a proposal, its
-// worker's keeper on the arena's copy of Config.Trace, which names it
+// shard's keeper on the arena's copy of Config.Trace, which names it
 // Key. Untraced cells pay one nil check per repetition. The latency
 // histogram observes every repetition, from the cell's enqueue to that
 // repetition's end, while the counters advance once per cell.
@@ -86,8 +86,6 @@ type CellRequest struct {
 type CellResult struct {
 	// Key is the cell's identity.
 	Key string
-	// Shard is the shard that served the cell.
-	Shard int
 	// Reps is the number of repetitions executed.
 	Reps int
 	// Errors counts failed repetitions; FirstErr is the first failure in
@@ -105,12 +103,10 @@ type CellResult struct {
 	Latency time.Duration
 }
 
-// submitCell validates and enqueues one cell on an explicit shard. It
-// occupies one queue slot regardless of Reps, blocks only on a full
-// shard queue, and returns ErrClosed after Close. Placement never
-// influences outcomes (the cell carries its own seeds), so RunCells is
-// free to place cells round-robin for load balance.
-func (a *Arena) submitCell(cr CellRequest, shard int) (<-chan CellResult, error) {
+// submitCell validates and enqueues one cell. It occupies one queue slot
+// regardless of Reps, blocks only on a full queue, and returns ErrClosed
+// after Close.
+func (a *Arena) submitCell(cr CellRequest) (<-chan CellResult, error) {
 	if cr.Reps < 1 {
 		return nil, fmt.Errorf("arena: cell reps must be at least 1, got %d", cr.Reps)
 	}
@@ -126,7 +122,7 @@ func (a *Arena) submitCell(cr CellRequest, shard int) (<-chan CellResult, error)
 	if cr.Sink == nil {
 		return nil, fmt.Errorf("arena: cell needs a Sink")
 	}
-	req := &request{cell: cr, shard: shard, enq: time.Now(), done: make(chan CellResult, 1)}
+	req := &request{cell: cr, enq: time.Now(), done: make(chan CellResult, 1)}
 	if err := a.enqueue(req); err != nil {
 		return nil, err
 	}
@@ -138,11 +134,10 @@ func (a *Arena) submitCell(cr CellRequest, shard int) (<-chan CellResult, error)
 // fn(i, result of gen(i)) — which is what lets a caller fold a
 // deterministic aggregate while memory stays bounded by the window.
 // gen(i) is called once per index, in order; fn runs on the caller's
-// goroutine. Cells are placed round-robin across shards, carried on from
-// the arena's previous call (placement cannot affect outcomes, so
-// balanced placement is free throughput; consistent-hash routing would
-// idle shards whenever a few keys collide). Any number of callers may
-// run cells on one arena at once.
+// goroutine. Every cell joins the arena's one queue, and the next idle
+// worker serves it: a cell carries its own seeds, so where it runs
+// cannot affect its outcome. Any number of callers may run cells on one
+// arena at once.
 //
 // Cancellation is clean by construction: on ctx expiry submission stops,
 // every already-submitted cell runs to completion and is delivered to
@@ -152,8 +147,8 @@ func (a *Arena) RunCells(ctx context.Context, count int, gen func(i int) CellReq
 		return nil
 	}
 	// Cells are coarse units: a window of one extra cell per shard beyond
-	// the in-service slots keeps every worker busy without parking long
-	// queues of committed work behind slow cells.
+	// the workers keeps every worker busy without parking long queues of
+	// committed work behind slow cells.
 	window := min(count, len(a.shards)*(a.cfg.Workers+1))
 	chans := make([]<-chan CellResult, window)
 	submitted, delivered := 0, 0
@@ -168,7 +163,7 @@ func (a *Arena) RunCells(ctx context.Context, count int, gen func(i int) CellReq
 			err = e
 			break
 		}
-		done, e := a.submitCell(gen(i), int((a.next.Add(1)-1)%uint64(len(a.shards))))
+		done, e := a.submitCell(gen(i))
 		if e != nil {
 			err = e
 			break
@@ -193,7 +188,7 @@ func (a *Arena) RunCells(ctx context.Context, count int, gen func(i int) CellReq
 // whoever holds a cell's last result, a proposal's in particular, also
 // sees its counters. The CellResult goes out on done; a proposal has
 // none, its sink having delivered its Result.
-func (a *Arena) serveCell(s *shard, sess *engine.Session, req *request, idx int) {
+func (a *Arena) serveCell(sess *engine.Session, req *request, idx int) {
 	cr := &req.cell
 	model := cr.Model
 	if model == nil {
@@ -213,7 +208,6 @@ func (a *Arena) serveCell(s *shard, sess *engine.Session, req *request, idx int)
 	}
 	spec := engine.Spec{
 		Key:       cr.Key,
-		Shard:     s.id,
 		N:         cr.N,
 		Inputs:    inputs,
 		Noise:     cr.Noise,
@@ -224,7 +218,7 @@ func (a *Arena) serveCell(s *shard, sess *engine.Session, req *request, idx int)
 	var tk *traceKeeper
 	var repSeed uint64
 	if rec != nil {
-		tk = cr.Trace.keeper(idx)
+		tk = cr.Trace.keeper(req.shard)
 		// RunBatch derives each repetition's seed immediately before
 		// running it: the one point to reset the recorder and remember
 		// the seed for the capture.
@@ -234,16 +228,16 @@ func (a *Arena) serveCell(s *shard, sess *engine.Session, req *request, idx int)
 			return repSeed
 		}
 	}
-	out := CellResult{Key: cr.Key, Shard: s.id, Reps: cr.Reps}
+	out := CellResult{Key: cr.Key, Reps: cr.Reps}
 	var wm workerMetrics
 	if cr.Metrics != nil {
 		wm = cr.Metrics.stripes(idx)
 	}
 	engine.RunBatch(model, spec, sess, cr.Reps, seed, func(rep int, r engine.Result, err error) {
-		res := Result{Key: cr.Key, Shard: s.id, Value: r.Value, FirstRound: r.FirstRound,
+		res := Result{Key: cr.Key, Shard: req.shard, Value: r.Value, FirstRound: r.FirstRound,
 			LastRound: r.LastRound, Ops: r.Ops, SimTime: r.SimTime}
 		if err != nil {
-			res = Result{Key: cr.Key, Shard: s.id, Err: err}
+			res = Result{Key: cr.Key, Shard: req.shard, Err: err}
 			if out.FirstErr == nil {
 				out.FirstErr = err
 			}

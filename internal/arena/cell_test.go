@@ -410,30 +410,89 @@ func TestRunCellContextExpiry(t *testing.T) {
 	}
 }
 
-// TestRunCellsRoundRobinAcrossCalls: placement carries on from one call
-// to the next, so consecutive one-cell callers on a shared arena are
-// served by different shards instead of all queueing on shard 0.
-func TestRunCellsRoundRobinAcrossCalls(t *testing.T) {
-	a, err := arena.New(arena.Config{Shards: 2, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+// gateModel decides every instance at once except the one keyed "hold",
+// which signals held and then blocks its worker until gate closes.
+type gateModel struct{ gate, held chan struct{} }
+
+func (gateModel) Name() string { return "gate" }
+
+func (m gateModel) Run(spec engine.Spec, _ *engine.Session) (engine.Result, error) {
+	if spec.Key == "hold" {
+		m.held <- struct{}{}
+		<-m.gate
 	}
-	defer a.Close()
-	cr := arena.CellRequest{
-		Key: "one", N: 4, Noise: dist.Exponential{MeanVal: 1}, Reps: 1,
-		Seed: func(int) uint64 { return 1 }, Sink: &recordingSink{},
+	return engine.Result{Value: spec.Inputs[0], FirstRound: 1, LastRound: 1, Ops: 1}, nil
+}
+
+// TestIdleWorkerServesNextCell: while one worker is held by a request,
+// the arena's other worker serves every request that follows, whatever
+// shard its key routes to: three one-cell callers in a row, or a
+// proposal whose key shares the held proposal's shard.
+func TestIdleWorkerServesNextCell(t *testing.T) {
+	// held returns an arena of two shards of one worker each, one of
+	// whose workers is serving "hold" until the test ends.
+	held := func(t *testing.T, hold func(a *arena.Arena)) *arena.Arena {
+		m := gateModel{gate: make(chan struct{}), held: make(chan struct{}, 1)}
+		a, err := arena.New(arena.Config{Shards: 2, Workers: 1, Model: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { a.Close() })
+		t.Cleanup(func() { close(m.gate) })
+		go hold(a)
+		select {
+		case <-m.held:
+		case <-time.After(10 * time.Second):
+			t.Fatal("no worker took the held request")
+		}
+		return a
 	}
-	first, err := runCell(a, cr)
-	if err != nil {
-		t.Fatal(err)
+	within := func(t *testing.T, deadline <-chan time.Time, what string, run func() error) {
+		done := make(chan error, 1)
+		go func() { done <- run() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatalf("%s waited behind the held request while a worker idled", what)
+		}
 	}
-	second, err := runCell(a, cr)
-	if err != nil {
-		t.Fatal(err)
+	cell := func(key string) arena.CellRequest {
+		return arena.CellRequest{
+			Key: key, N: 2, Noise: dist.Exponential{MeanVal: 1}, Reps: 1,
+			Seed: func(int) uint64 { return 1 }, Sink: &recordingSink{},
+		}
 	}
-	if first.Shard == second.Shard {
-		t.Fatalf("two consecutive one-cell calls both ran on shard %d", first.Shard)
-	}
+
+	t.Run("cells", func(t *testing.T) {
+		a := held(t, func(a *arena.Arena) { runCell(a, cell("hold")) })
+		deadline := time.After(2 * time.Second)
+		for i := 0; i < 3; i++ {
+			within(t, deadline, fmt.Sprintf("one-cell call %d", i), func() error {
+				_, err := runCell(a, cell(fmt.Sprintf("free-%d", i)))
+				return err
+			})
+		}
+	})
+
+	t.Run("proposals", func(t *testing.T) {
+		a := held(t, func(a *arena.Arena) { a.Submit("hold", 0) })
+		key := ""
+		for i := 0; key == ""; i++ {
+			if k := fmt.Sprintf("free-%d", i); a.ShardFor(k) == a.ShardFor("hold") {
+				key = k
+			}
+		}
+		within(t, time.After(2*time.Second), "proposal "+key, func() error {
+			res, err := a.Propose(context.Background(), key, 1)
+			if err == nil && res.Shard != a.ShardFor("hold") {
+				err = fmt.Errorf("proposal %s reports shard %d, routed to %d", key, res.Shard, a.ShardFor("hold"))
+			}
+			return err
+		})
+	})
 }
 
 // TestCellMetricsQueuedGauge: a cell charges its own bundle's queued

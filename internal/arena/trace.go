@@ -29,8 +29,8 @@ type TraceConfig struct {
 	// DefaultTracePerShard).
 	PerShard int
 
-	// keepers holds one keeper per worker (shard*Workers+w) on an arena's
-	// own copy of Config.Trace, and is nil on every other TraceConfig.
+	// keepers holds one keeper per shard on an arena's own copy of
+	// Config.Trace, and is nil on every other TraceConfig.
 	keepers []*traceKeeper
 }
 
@@ -60,13 +60,13 @@ func traceRank(a, b *trace.Instance) bool {
 	return a.Key < b.Key
 }
 
-// traceKeeper keeps one worker's proposals' (or one traced cell's)
-// top-K captures, sorted by traceRank. A worker's keeper is written only
-// by its worker, so capture never serializes sibling workers the way a
-// shared per-shard set would; the mutex exists only for Arena.Traces'
-// snapshot reads. Merge turns keepers' top-Ks into the shard-global
-// ranking. A cell's own keeper (cell) names its captures
-// "<key>,rep=<rep>"; a worker's names each proposal by its key.
+// traceKeeper keeps one shard's proposals' (or one traced cell's) top-K
+// captures, sorted by traceRank. Every worker offers a shard's
+// proposals to the shard's one keeper under its mutex, which also
+// serves Arena.Traces' snapshot reads; the rank is strict and total, so
+// the kept set does not depend on the order of the offers. A cell's own
+// keeper (cell) names its captures "<key>,rep=<rep>"; a shard's names
+// each proposal by its key.
 type traceKeeper struct {
 	mu   sync.Mutex
 	k    int
@@ -74,12 +74,12 @@ type traceKeeper struct {
 	kept []trace.Instance
 }
 
-// keeper returns the keeper for a traced cell served by worker idx: the
-// worker's own on an arena's copy of Config.Trace, else a fresh one for
+// keeper returns the keeper for a traced cell: on an arena's copy of
+// Config.Trace, the keeper of the proposal's shard, else a fresh one for
 // the cell.
-func (tc *TraceConfig) keeper(idx int) *traceKeeper {
+func (tc *TraceConfig) keeper(shard int) *traceKeeper {
 	if tc.keepers != nil {
-		return tc.keepers[idx]
+		return tc.keepers[shard]
 	}
 	return &traceKeeper{k: tc.budget(), cell: true}
 }
@@ -128,9 +128,9 @@ func (t *traceKeeper) snapshot() []trace.Instance {
 }
 
 // Traces returns the proposals (Submit/Propose) captured across all
-// shards, the workers' keepers merged per shard (Merge). It returns nil
-// when tracing is not configured. A proposal's capture is ranked before
-// its Result is delivered; the snapshot is consistent per keeper, and
+// shards, the shards' keepers merged (Merge). It returns nil when
+// tracing is not configured. A proposal's capture is ranked before its
+// Result is delivered; the snapshot is consistent per keeper, and
 // callers wanting the final capture set call it after Close or after
 // their batch has drained.
 func (a *Arena) Traces() []trace.Instance {
@@ -138,10 +138,9 @@ func (a *Arena) Traces() []trace.Instance {
 	if tc == nil {
 		return nil
 	}
-	shards := make([][]trace.Instance, len(a.shards))
-	for idx, tk := range tc.keepers {
-		si := idx / a.cfg.Workers
-		shards[si] = append(shards[si], tk.snapshot()...)
+	shards := make([][]trace.Instance, len(tc.keepers))
+	for si, tk := range tc.keepers {
+		shards[si] = tk.snapshot()
 	}
 	return tc.Merge(shards)
 }

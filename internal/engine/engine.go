@@ -47,8 +47,6 @@ var (
 type Spec struct {
 	// Key is the client's routing key (carried for diagnostics).
 	Key string
-	// Shard is the shard the instance was routed to (diagnostics only).
-	Shard int
 	// N is the number of processes.
 	N int
 	// Inputs holds the N input bits (Inputs[0] is the client's proposal).
@@ -63,8 +61,9 @@ type Spec struct {
 	// with a typed *AdversaryError instead of silently running a
 	// different schedule.
 	Adversary *Adversary
-	// Seed is the instance's private random seed, derived deterministically
-	// from the arena seed, the shard, and the key.
+	// Seed is the instance's private random seed. The arena derives a
+	// proposal's from the arena seed and the key's hash, and a cell
+	// repetition's from the cell's own Seed(rep).
 	Seed uint64
 }
 
