@@ -159,19 +159,12 @@ type Cell struct {
 	// Index is the cell's position in grid order (Models outer, then
 	// Dists, Adversaries, Ns, Seeds) — the order reports list cells in.
 	Index int
-	// Key is the cell's canonical identity, e.g.
+	// Key is the cell's canonical identity (Job.Key), e.g.
 	// "model=sched,dist=exponential,adv=zero,n=8,seed=1". Checkpoint
 	// manifests key completed cells by it.
 	Key string
 	// Job is the resolved model, noise, N, seed, and repetition count.
 	Job engine.Job
-}
-
-// cellKey renders the canonical cell identity. Adversary names never
-// contain a comma (the spec syntax is colon-separated), so the key stays
-// unambiguous.
-func cellKey(j engine.Job) string {
-	return fmt.Sprintf("model=%s,dist=%s,adv=%s,n=%d,seed=%d", j.ModelName, j.DistName, j.AdvName, j.N, j.Seed)
 }
 
 // Campaign is a resolved, validated Spec: every cell's names looked up,
@@ -252,7 +245,7 @@ func (s Spec) Resolve() (*Campaign, error) {
 							return nil, fmt.Errorf("campaign: cell (model=%s dist=%s adv=%s n=%d seed=%d): %w",
 								mname, dname, aname, n, seed, err)
 						}
-						key := cellKey(job)
+						key := job.Key()
 						if seen[key] {
 							// Aliases or duplicate axis entries collapse to
 							// one cell; first occurrence wins.

@@ -77,6 +77,15 @@ type Job struct {
 	ModelName, VariantName, DistName, AdvName string
 }
 
+// Key renders the job's canonical cell identity, e.g.
+// "model=sched,dist=exponential,adv=zero,n=8,seed=1": it names trace
+// captures and keys campaign checkpoint cells. Adversary names never
+// contain a comma (the spec syntax is colon-separated), so the key stays
+// unambiguous.
+func (j Job) Key() string {
+	return fmt.Sprintf("model=%s,dist=%s,adv=%s,n=%d,seed=%d", j.ModelName, j.DistName, j.AdvName, j.N, j.Seed)
+}
+
 // Resolve validates the spec against the engine's model and variant
 // registries and the distribution registry, applies defaults, and
 // enforces the wire limits. Every error is a client error: the serving

@@ -68,6 +68,9 @@ func TestJobSpecResolveCanonicalizes(t *testing.T) {
 	if job.N != 4 || job.Seed != 9 || job.Instances != 5 {
 		t.Fatalf("passthrough fields wrong: %+v", job)
 	}
+	if got, want := job.Key(), "model=msgnet,dist=two-point,adv=none,n=4,seed=9"; got != want {
+		t.Fatalf("Key() = %q, want %q", got, want)
+	}
 }
 
 func TestJobSpecResolveNoiseFreeDist(t *testing.T) {

@@ -192,7 +192,7 @@ func (s *Server) runSpec(j *job, sr *specRun) error {
 
 	// Cell keys name trace captures ("<key>,rep=<rep>"), so they come from
 	// the spec and the rep range alone: identical jobs capture identically.
-	key := fmt.Sprintf("model=%s,dist=%s,adv=%s,n=%d,seed=%d", jb.ModelName, jb.DistName, jb.AdvName, jb.N, jb.Seed)
+	key := jb.Key()
 	chunks := min(jb.Instances, s.cfg.Shards*s.cfg.Workers)
 	// Cell c counts, in progress and trace budgets, for logical shard c
 	// mod Shards, wherever it runs.
